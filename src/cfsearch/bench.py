@@ -14,6 +14,7 @@ a process pool; results are identical to the serial run except for timing.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -137,7 +138,7 @@ def _run_trial(cfg: BenchConfig, H: np.ndarray, P: float) -> dict[str, tuple[flo
     a_vecs: dict[str, object] = {}
     stats: dict[str, tuple[float, float, float]] = {}
     for alg in cfg.algorithms:
-        t = time.perf_counter()
+        t = time.process_time()
         if alg == "optimal":
             res = search_optimal(ch, cfg.ring)
             r = res.rate
@@ -146,21 +147,21 @@ def _run_trial(cfg: BenchConfig, H: np.ndarray, P: float) -> dict[str, tuple[flo
             r = res.rate
         elif alg == "exhaustive":
             res = exhaustive_search(M_ref, phi, cfg.ring, prune="norm")
-            dt = time.perf_counter() - t
+            dt = time.process_time() - t
             r = rate(ch, res.a_opt) if cfg.k == 1 else mimo_rate(chm, res.a_opt, b_opt(chm, res.a_opt))
             a_vecs[alg] = res.a_opt
             stats[alg] = (res.f_min, r, dt)
             continue
         elif alg == "clll":
             res = clll_search(M_ref, cfg.clll)
-            dt = time.perf_counter() - t
+            dt = time.process_time() - t
             a_vecs[alg] = res.a_opt
             stats[alg] = (res.f_min, rate(ch, res.a_opt), dt)
             continue
         else:  # qes
             res = qes_search(ch, cfg.qes)
             r = res.rate
-        dt = time.perf_counter() - t
+        dt = time.process_time() - t
         a_vecs[alg] = res.a_opt
         stats[alg] = (res.f_min, r, dt)
 
@@ -207,35 +208,39 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     workers = _worker_count()
 
     records: list[BenchRecord] = []
-    for snr in cfg.snr_db_list:
-        P = 10.0 ** (snr / 10.0)
-        jobs = [(cfg, H, P) for H in channels]
-        try:
-            if workers > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with contextlib.ExitStack() as stack:
+        # one pool for the whole sweep: workers start once, not once per SNR
+        pool = None
+        if workers > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+        for snr in cfg.snr_db_list:
+            P = 10.0 ** (snr / 10.0)
+            jobs = [(cfg, H, P) for H in channels]
+            try:
+                if pool is not None:
                     trial_stats = list(pool.map(_trial_worker, jobs, chunksize=8))
-            else:
-                trial_stats = [_run_trial(*job) for job in jobs]
-        except CFSearchError as e:
-            raise type(e)(f"sweep aborted at snr_db={snr}, L={cfg.L}, k={cfg.k}: {e}") from e
-        for alg in cfg.algorithms:
-            rows = [ts[alg] for ts in trial_stats]
-            matches = [m for _, _, _, m in rows if m is not None]
-            records.append(
-                BenchRecord(
-                    snr_db=snr,
-                    L=cfg.L,
-                    k=cfg.k,
-                    ring=cfg.ring.name.lower(),
-                    algorithm=alg,
-                    avg_rate=float(np.mean([r for _, r, _, _ in rows])),
-                    avg_f=float(np.mean([f for f, _, _, _ in rows])),
-                    cpu_ms_total=1000.0 * float(np.sum([dt for _, _, dt, _ in rows])),
-                    optimal_match_fraction=float(np.mean(matches)) if matches else None,
-                    trials=cfg.trials,
-                    seed=cfg.seed,
+                else:
+                    trial_stats = [_run_trial(*job) for job in jobs]
+            except CFSearchError as e:
+                raise type(e)(f"sweep aborted at snr_db={snr}, L={cfg.L}, k={cfg.k}: {e}") from e
+            for alg in cfg.algorithms:
+                rows = [ts[alg] for ts in trial_stats]
+                matches = [m for _, _, _, m in rows if m is not None]
+                records.append(
+                    BenchRecord(
+                        snr_db=snr,
+                        L=cfg.L,
+                        k=cfg.k,
+                        ring=cfg.ring.name.lower(),
+                        algorithm=alg,
+                        avg_rate=float(np.mean([r for _, r, _, _ in rows])),
+                        avg_f=float(np.mean([f for f, _, _, _ in rows])),
+                        cpu_ms_total=1000.0 * float(np.sum([dt for _, _, dt, _ in rows])),
+                        optimal_match_fraction=float(np.mean(matches)) if matches else None,
+                        trials=cfg.trials,
+                        seed=cfg.seed,
+                    )
                 )
-            )
     if cfg.output_path:
         write_records_csv(records, cfg.output_path)
         _write_metadata(cfg, cfg.output_path + ".meta.json", workers)
@@ -271,7 +276,7 @@ def _write_metadata(cfg: BenchConfig, path: str, workers: int) -> None:
             "vector algorithms report log2+(1/f'); the k-antenna search reports "
             "(1/2) log2+(P/(|b|^2 + P|bH - a|^2)) with the MMSE combiner"
         ),
-        "timing": "cpu_ms_total sums wall time around each search call only",
+        "timing": "cpu_ms_total sums process CPU time (time.process_time) around each search call only",
         "csv_header": CSV_HEADER,
         "workers": workers,
     }

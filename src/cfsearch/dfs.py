@@ -1,15 +1,28 @@
 """Cost-pruned depth-first minimization of a Gram quadratic form.
 
 `cost_pruned_scan` finds the exact minimum of a M a^H over nonzero ring
-vectors by assigning components depth-first against the lower Cholesky
-factor of M, visiting per-component candidates in increasing partial cost
-and abandoning a branch the moment it reaches the incumbent.  Because every
-vector cheaper than the incumbent is provably visited, the scan doubles as
-a certifier: seeded with the result of a faster heuristic or sampling scan,
-it either confirms the seed or returns something strictly cheaper.
+vectors with a Schnorr-Euchner enumeration of the real 2L-dimensional
+lattice that the ring vectors form (Schnorr & Euchner 1994; Agrell,
+Eriksson, Vardy & Zeger, "Closest point search in lattices", IEEE T-IT
+2002).  A vector is written as interleaved integer coordinates
+u = (x_0, y_0, x_1, y_1, ...) with a_j = x_j + y_j*w, where w = i for the
+Gaussian ring and w = -1/2 + i*sqrt(3)/2 for the Eisenstein ring, so that
+a M a^H = u G u^T with the real Gram matrix G = Re(B M B^H).
 
-The exhaustive reference search uses this scan as its fast pruning mode and
-the coefficient searches use it as their final certification phase.
+Coordinates are fixed from the last to the first against the lower
+Cholesky factor G = C C^T.  Each level has a one-dimensional center; its
+children are visited in zig-zag order around the center (nearest integer
+first, then alternately on either side), which is increasing partial cost,
+so a branch is abandoned at the first child that reaches the incumbent.
+While every coordinate above a level is zero the center is 0 and only
+nonnegative values are tried there: u and -u cost the same.
+
+Because every vector cheaper than the incumbent is provably visited, the
+scan doubles as a certifier: seeded with the result of a faster heuristic
+or sampling scan, it either confirms the seed or returns something strictly
+cheaper.  The exhaustive reference search uses this scan as its fast
+pruning mode and the coefficient searches use it as their final
+certification phase.
 """
 
 from __future__ import annotations
@@ -19,37 +32,11 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .rings import SQRT3, Ring, eisenstein_values, gaussian_values
+from .rings import SQRT3, Ring
 
-#: Hard ceiling on nodes expanded by the cost-pruned depth-first scan.
+#: Hard ceiling on nodes expanded by the cost-pruned depth-first scan.  A
+#: node is one accepted value of a complex component (an even real level).
 MAX_DFS_NODES = 20_000_000
-
-
-def _near_candidates(ring: Ring, t: complex, rsq: float) -> list[tuple[float, int, int]]:
-    """Ring points within squared distance rsq of t, sorted by (d^2, x, y)."""
-    out: list[tuple[float, int, int]] = []
-    r = math.sqrt(rsq)
-    if ring is Ring.GAUSSIAN:
-        for x in range(math.ceil(t.real - r), math.floor(t.real + r) + 1):
-            dre2 = (x - t.real) ** 2
-            rem = rsq - dre2
-            if rem < 0:
-                continue
-            dy = math.sqrt(rem)
-            for y in range(math.ceil(t.imag - dy), math.floor(t.imag + dy) + 1):
-                out.append((dre2 + (y - t.imag) ** 2, x, y))
-    else:
-        half_rt3 = SQRT3 / 2.0
-        for b in range(math.ceil((t.imag - r) / half_rt3), math.floor((t.imag + r) / half_rt3) + 1):
-            dim2 = (half_rt3 * b - t.imag) ** 2
-            rem = rsq - dim2
-            if rem < 0:
-                continue
-            dre = math.sqrt(rem)
-            for a in range(math.ceil(t.real - dre + b / 2.0), math.floor(t.real + dre + b / 2.0) + 1):
-                out.append((dim2 + (a - b / 2.0 - t.real) ** 2, a, b))
-    out.sort()
-    return out
 
 
 def cost_pruned_scan(
@@ -60,20 +47,24 @@ def cost_pruned_scan(
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Depth-first scan with partial-cost pruning; exact same minimum as a ball scan.
 
-    Components are assigned from index L-1 down to 0 so that with a lower
-    Cholesky factor M = C C^H each assignment fixes one coordinate of a*C.
-    Candidates for a component are visited in increasing partial cost, so a
-    branch is abandoned as soon as one candidate reaches the incumbent.
-
     `seed` is an optional (x, y, f) incumbent; only strictly cheaper vectors
     are explored, so the seed is returned unchanged whenever it is already
     optimal.  Without a seed the incumbent starts at the best unit vector,
     whose cost is the smallest diagonal entry of M.
 
-    Returns (x, y, f_best, nodes expanded).
+    Returns (x, y, f_best, nodes expanded).  Raises NumericError naming the
+    instance once more than `max_nodes` nodes are expanded.
     """
     L = M.shape[0]
-    C = np.linalg.cholesky(M)
+    n = 2 * L
+    omega = 1j if ring is Ring.GAUSSIAN else complex(-0.5, SQRT3 / 2.0)
+    B = np.kron(np.eye(L), np.array([[1.0], [omega]]))
+    C = np.linalg.cholesky((B @ M @ B.conj().T).real)
+    cdiag = C.diagonal()
+    r2 = (cdiag * cdiag).tolist()
+    # mu[k][j] = C[j, k] / C[k, k]: level k's center is -sum_{j>k} u_j mu[k][j]
+    mu = (C / cdiag).T.tolist()
+
     if seed is None:
         diag = M.diagonal().real
         j0 = int(np.argmin(diag))
@@ -85,41 +76,65 @@ def cost_pruned_scan(
         best_x = np.asarray(seed[0], np.int64).copy()
         best_y = np.asarray(seed[1], np.int64).copy()
         f_best = float(seed[2])
-    values_fn = gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
+    best_u: list[int] | None = None
 
-    s = np.zeros(L, np.complex128)
-    cur_x = np.zeros(L, np.int64)
-    cur_y = np.zeros(L, np.int64)
+    u = [0] * n
+    step = [0] * n  # next zig-zag offset; 0 while only nonnegative values are tried
+    center = [0.0] * n
+    dist = [0.0] * n  # partial cost of the levels above
+    # sig[k][j] = sum_{l>=j} u_l mu[k][l], refreshed lazily from index top[k] down
+    sig = [[0.0] * (n + 1) for _ in range(n)]
+    top = [k + 1 for k in range(n)]
     nodes = 0
-
-    def descend(j: int, partial: float, nonzero: bool) -> None:
-        nonlocal f_best, best_x, best_y, nodes
-        cjj = C[j, j].real
-        t = -s[j] / cjj
-        budget = f_best - partial
-        if budget <= 0:
-            return
-        for d2, x, y in _near_candidates(ring, complex(t), budget / (cjj * cjj)):
-            inc = d2 * cjj * cjj
-            if partial + inc >= f_best:
+    k = n - 1
+    while True:
+        d = u[k] - center[k]
+        p = dist[k] + r2[k] * d * d
+        if p < f_best:
+            if not k & 1:
+                nodes += 1
+                if nodes > max_nodes:
+                    raise NumericError(
+                        f"cost-pruned scan exceeded the {max_nodes}-node budget "
+                        f"(L={L}, ring={ring.name.lower()}, nodes={nodes}, "
+                        f"incumbent f={f_best!r})"
+                    )
+            if k:
+                k -= 1
+                s = sig[k]
+                m = mu[k]
+                hi = top[k]
+                for j in range(hi, k, -1):
+                    s[j] = s[j + 1] + u[j] * m[j]
+                if k and top[k - 1] < hi:
+                    top[k - 1] = hi
+                top[k] = k + 1
+                dist[k] = p
+                if p == 0.0:  # every coordinate above is zero; skip the zero vector
+                    center[k] = 0.0
+                    u[k] = 0 if k else 1
+                    step[k] = 0
+                else:
+                    c = -s[k + 1]
+                    center[k] = c
+                    uk = math.floor(c + 0.5)
+                    u[k] = uk
+                    step[k] = 1 if c >= uk else -1
+                continue
+            f_best = p
+            best_u = u.copy()
+        else:
+            k += 1
+            if k == n:
                 break
-            nodes += 1
-            if nodes > max_nodes:
-                raise NumericError(
-                    f"cost-pruned scan exceeded the {max_nodes}-node budget"
-                )
-            nz = nonzero or x != 0 or y != 0
-            cur_x[j], cur_y[j] = x, y
-            if j == 0:
-                if nz:
-                    f_best = partial + inc
-                    best_x, best_y = cur_x.copy(), cur_y.copy()
-            else:
-                v = complex(values_fn(np.int64(x), np.int64(y)))
-                saved = s[:j].copy()
-                s[:j] += v * C[j, :j]
-                descend(j - 1, partial + inc, nz)
-                s[:j] = saved
+        st = step[k]
+        if st:
+            u[k] += st
+            step[k] = -st - 1 if st > 0 else 1 - st
+        else:
+            u[k] += 1
 
-    descend(L - 1, 0.0, False)
+    if best_u is not None:
+        best_x = np.array(best_u[0::2], np.int64)
+        best_y = np.array(best_u[1::2], np.int64)
     return best_x, best_y, f_best, nodes

@@ -141,10 +141,6 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def round_half_up_array(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
-
-
 def _check_finite(z) -> None:
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("quantizer input must be finite")
