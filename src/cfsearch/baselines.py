@@ -130,7 +130,8 @@ def _norm_pruned_scan(
             if N.size > max_table_rows:
                 raise NumericError(
                     f"norm-pruned scan table of {N.size} prefixes exceeds the "
-                    f"{max_table_rows}-row budget; use prune='cost'"
+                    f"{max_table_rows}-row budget (L={L}, ring={ring.name.lower()}, "
+                    f"phi={phi!r}); use prune='cost'"
                 )
     assert best is not None  # the ball always contains unit vectors for phi >= 1
     return best[0], best[1], f_best, checked
@@ -236,7 +237,10 @@ def clll_search(M: np.ndarray, params: CLLLParams | None = None) -> SearchResult
     while k < L:
         iters += 1
         if iters > params.max_iter:
-            raise NumericError(f"lattice reduction did not converge in {params.max_iter} iterations")
+            raise NumericError(
+                f"lattice reduction did not converge in {params.max_iter} iterations "
+                f"(L={L}, delta={params.delta!r})"
+            )
         Bs, mu = _gso(B)
         for j in range(k - 1, -1, -1):
             q = quantize_gaussian(complex(mu[k, j]))

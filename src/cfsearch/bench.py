@@ -28,7 +28,7 @@ from .errors import CFSearchError, InvalidInputError
 from .mimo import search_optimal_mimo
 from .model import (
     ChannelMatrix,
-    ChannelVector,
+    SearchResult,
     b_opt,
     cost,
     cost_matrix,
@@ -76,12 +76,7 @@ class BenchConfig:
         if not self.algorithms:
             raise InvalidInputError("algorithm list must be nonempty")
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise InvalidInputError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
-            if self.k > 1 and alg in VECTOR_ONLY_ALGORITHMS:
-                raise InvalidInputError(f"algorithm {alg!r} requires k=1")
-            if self.ring is Ring.EISENSTEIN and alg in GAUSSIAN_ONLY_ALGORITHMS:
-                raise InvalidInputError(f"algorithm {alg!r} supports the Gaussian ring only")
+            check_algorithm(alg, self.k, self.ring)
 
 
 @dataclass(frozen=True)
@@ -112,6 +107,60 @@ def gen_channel(L: int, k: int, rng: np.random.Generator, P: float = 1.0) -> Cha
     return ChannelMatrix((re + 1j * im) / math.sqrt(2.0), P)
 
 
+def check_algorithm(alg: str, k: int, ring: Ring) -> None:
+    """Raise InvalidInputError unless `alg` runs on a k-row channel over `ring`."""
+    if alg not in ALGORITHMS:
+        raise InvalidInputError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+    if k > 1 and alg in VECTOR_ONLY_ALGORITHMS:
+        raise InvalidInputError(f"algorithm {alg!r} requires k=1")
+    if ring is Ring.EISENSTEIN and alg in GAUSSIAN_ONLY_ALGORITHMS:
+        raise InvalidInputError(f"algorithm {alg!r} supports the Gaussian ring only")
+
+
+def gram(chm: ChannelMatrix) -> tuple[np.ndarray, float]:
+    """Gram matrix M and search radius phi: the vector form for k = 1, else the MIMO form."""
+    if chm.k == 1:
+        ch = chm.row_vector()
+        return cost_matrix(ch), phi_bound(ch)
+    return mimo_gram(chm), mimo_phi(chm)
+
+
+def run_algorithm(
+    alg: str,
+    chm: ChannelMatrix,
+    ring: Ring,
+    M: np.ndarray,
+    phi: float,
+    qes: QesParams | None = None,
+    clll: CLLLParams | None = None,
+    prune: str = "norm",
+) -> SearchResult:
+    """Run one algorithm on one channel; `M, phi` come from `gram(chm)`.
+
+    This is the one place that branches on algorithm names.  The searches
+    are looked up as module attributes at call time, so a name replaced on
+    this module (for instance by a tracer) is what runs.
+    """
+    if alg == "optimal":
+        return search_optimal(chm.row_vector(), ring)
+    if alg == "mimo-optimal":
+        return search_optimal_mimo(chm, ring)
+    if alg == "exhaustive":
+        return exhaustive_search(M, phi, ring, prune=prune)
+    if alg == "clll":
+        return clll_search(M, clll)
+    return qes_search(chm.row_vector(), qes)
+
+
+def result_rate(chm: ChannelMatrix, res: SearchResult) -> float:
+    """`res.rate`, or the channel's rate of `res.a_opt` for the Gram-only searches."""
+    if res.rate is not None:
+        return res.rate
+    if chm.k == 1:
+        return rate(chm.row_vector(), res.a_opt)
+    return mimo_rate(chm, res.a_opt, b_opt(chm, res.a_opt))
+
+
 def _reference_algorithm(cfg: BenchConfig) -> str | None:
     if "exhaustive" in cfg.algorithms:
         return "exhaustive"
@@ -126,55 +175,22 @@ def _run_trial(cfg: BenchConfig, H: np.ndarray, P: float) -> dict[str, tuple[flo
     """Run every selected algorithm on one channel; return per-algorithm
     (f_min, rate, seconds, match-vs-reference or None)."""
     chm = ChannelMatrix(H, P)
-    if cfg.k == 1:
-        ch = chm.row_vector()
-        M_ref = cost_matrix(ch)
-        phi = phi_bound(ch)
-    else:
-        ch = None
-        M_ref = mimo_gram(chm)
-        phi = mimo_phi(chm)
-
-    a_vecs: dict[str, object] = {}
-    stats: dict[str, tuple[float, float, float]] = {}
+    M_ref, phi = gram(chm)
+    results: dict[str, tuple[SearchResult, float]] = {}
     for alg in cfg.algorithms:
         t = time.process_time()
-        if alg == "optimal":
-            res = search_optimal(ch, cfg.ring)
-            r = res.rate
-        elif alg == "mimo-optimal":
-            res = search_optimal_mimo(chm, cfg.ring)
-            r = res.rate
-        elif alg == "exhaustive":
-            res = exhaustive_search(M_ref, phi, cfg.ring, prune="norm")
-            dt = time.process_time() - t
-            r = rate(ch, res.a_opt) if cfg.k == 1 else mimo_rate(chm, res.a_opt, b_opt(chm, res.a_opt))
-            a_vecs[alg] = res.a_opt
-            stats[alg] = (res.f_min, r, dt)
-            continue
-        elif alg == "clll":
-            res = clll_search(M_ref, cfg.clll)
-            dt = time.process_time() - t
-            a_vecs[alg] = res.a_opt
-            stats[alg] = (res.f_min, rate(ch, res.a_opt), dt)
-            continue
-        else:  # qes
-            res = qes_search(ch, cfg.qes)
-            r = res.rate
-        dt = time.process_time() - t
-        a_vecs[alg] = res.a_opt
-        stats[alg] = (res.f_min, r, dt)
+        res = run_algorithm(alg, chm, cfg.ring, M_ref, phi, cfg.qes, cfg.clll)
+        results[alg] = (res, time.process_time() - t)
 
     ref = _reference_algorithm(cfg)
+    f_ref = cost(results[ref][0].a_opt, M_ref) if ref is not None else None
     out: dict[str, tuple[float, float, float, float | None]] = {}
-    f_ref = cost(a_vecs[ref], M_ref) if ref is not None else None
-    for alg in cfg.algorithms:
-        f, r, dt = stats[alg]
+    for alg, (res, dt) in results.items():
         match: float | None = None
         if f_ref is not None:
-            f_eval = cost(a_vecs[alg], M_ref)
+            f_eval = cost(res.a_opt, M_ref)
             match = 1.0 if abs(f_eval - f_ref) <= MATCH_RTOL * max(abs(f_ref), 1e-300) else 0.0
-        out[alg] = (f, r, dt, match)
+        out[alg] = (res.f_min, result_rate(chm, res), dt, match)
     return out
 
 
@@ -320,36 +336,48 @@ def load_config(path: str) -> BenchConfig:
         if req not in raw:
             raise InvalidInputError(f"config {path} is missing required key {req!r}")
 
+    def field(key: str, convert, default=None):
+        """raw[key] through `convert`, or `default` if absent; a bad value is a usage error."""
+        if key not in raw:
+            return default
+        try:
+            return convert(raw[key])
+        except (TypeError, ValueError) as e:
+            msg = f"config {path}: malformed value {raw[key]!r} for key {key!r}"
+            raise InvalidInputError(msg) from e
+
     ring_name = str(raw.get("ring", "gaussian")).upper()
     if ring_name not in Ring.__members__:
         raise InvalidInputError(f"unknown ring {raw['ring']!r}")
     algorithms = raw.get("algorithms", ["optimal"])
     if isinstance(algorithms, str):
         algorithms = [a.strip() for a in algorithms.split(",") if a.strip()]
+    if not isinstance(algorithms, list):
+        raise InvalidInputError(f"config {path}: malformed value {algorithms!r} for key 'algorithms'")
 
     qes = None
     if any(k.startswith("qes_") for k in raw):
         qes = QesParams(
-            mag_step=float(raw.get("qes_mag_step", QesParams.mag_step)),
-            phase_step_deg=float(raw.get("qes_phase_step_deg", QesParams.phase_step_deg)),
-            mag_max=None if raw.get("qes_mag_max") is None else float(raw["qes_mag_max"]),
+            mag_step=field("qes_mag_step", float, QesParams.mag_step),
+            phase_step_deg=field("qes_phase_step_deg", float, QesParams.phase_step_deg),
+            mag_max=field("qes_mag_max", lambda v: v if v is None else float(v)),
         )
     clll = None
     if any(k.startswith("clll_") for k in raw):
         clll = CLLLParams(
-            delta=float(raw.get("clll_delta", CLLLParams.delta)),
-            max_iter=int(raw.get("clll_max_iter", CLLLParams.max_iter)),
+            delta=field("clll_delta", float, CLLLParams.delta),
+            max_iter=field("clll_max_iter", int, CLLLParams.max_iter),
         )
 
     return BenchConfig(
-        L=int(raw["L"]),
-        k=int(raw.get("k", 1)),
-        snr_db_list=tuple(np.atleast_1d(np.asarray(raw["snr_db_list"], dtype=float)).tolist()),
-        trials=int(raw["trials"]),
-        seed=int(raw["seed"]),
+        L=field("L", int),
+        k=field("k", int, 1),
+        snr_db_list=field("snr_db_list", lambda v: np.atleast_1d(np.asarray(v, dtype=float)).tolist()),
+        trials=field("trials", int),
+        seed=field("seed", int),
         ring=Ring[ring_name],
         algorithms=tuple(algorithms),
         qes=qes,
         clll=clll,
-        output_path=None if raw.get("output_path") is None else str(raw["output_path"]),
+        output_path=field("output_path", lambda v: v if v is None else str(v)),
     )

@@ -8,6 +8,7 @@ matrix form `[[[re,im],...],...]`) or as a JSON file in matrix form.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -15,34 +16,24 @@ import time
 import numpy as np
 
 from . import __version__
-from .baselines import CLLLParams, QesParams, clll_search, exhaustive_search, qes_search
+from .baselines import CLLLParams, QesParams
 from .bench import (
     ALGORITHMS,
     BenchConfig,
     CSV_HEADER,
-    GAUSSIAN_ONLY_ALGORITHMS,
     MATCH_RTOL,
-    VECTOR_ONLY_ALGORITHMS,
+    check_algorithm,
     format_record,
     gen_channel,
+    gram,
     load_config,
+    result_rate,
+    run_algorithm,
     run_sweep,
 )
 from .errors import CFSearchError, InvalidInputError, NumericError
-from .mimo import search_optimal_mimo
-from .model import (
-    ChannelMatrix,
-    SearchResult,
-    b_opt,
-    cost_matrix,
-    mimo_gram,
-    mimo_phi,
-    mimo_rate,
-    phi_bound,
-    rate,
-)
-from .optimal import search_optimal
-from .rings import Ring, vector_value
+from .model import ChannelMatrix, SearchResult
+from .rings import Ring, vector_coords, vector_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,50 +79,23 @@ def _load_channel(args) -> np.ndarray:
 
 
 def _coefficient_json(res: SearchResult) -> dict:
-    if res.ring is Ring.GAUSSIAN:
-        coords = [[el.re, el.im] for el in res.a_opt]
-        labels = ["re", "im"]
-    else:
-        coords = [[el.a, el.b] for el in res.a_opt]
-        labels = ["a", "b"]  # value = a + b*w, w = -1/2 + sqrt(3)/2 j
+    x, y = vector_coords(res.a_opt, res.ring)
+    # Eisenstein coordinates: value = a + b*w, w = -1/2 + sqrt(3)/2 j
+    labels = ["re", "im"] if res.ring is Ring.GAUSSIAN else ["a", "b"]
     values = [[v.real, v.imag] for v in vector_value(res.a_opt)]
-    return {"a": coords, "a_coord_labels": labels, "a_values": values}
+    return {"a": np.stack([x, y], axis=1).tolist(), "a_coord_labels": labels, "a_values": values}
 
 
-def _run_single(algorithm: str, H: np.ndarray, P: float, ring: Ring, args) -> tuple[SearchResult, float | None]:
+def _run_single(algorithm: str, H: np.ndarray, P: float, ring: Ring, args) -> tuple[SearchResult, float]:
     """Run one algorithm on one channel; returns (result, rate)."""
     chm = ChannelMatrix(H, P)
-    k = chm.k
-    if k > 1 and algorithm in VECTOR_ONLY_ALGORITHMS:
-        raise InvalidInputError(f"algorithm {algorithm!r} requires a single-row channel")
-    if ring is Ring.EISENSTEIN and algorithm in GAUSSIAN_ONLY_ALGORITHMS:
-        raise InvalidInputError(f"algorithm {algorithm!r} supports the Gaussian ring only")
-    qes = QesParams(
-        mag_step=args.qes_mag_step,
-        phase_step_deg=args.qes_phase_step_deg,
-        mag_max=args.qes_mag_max,
-    )
+    check_algorithm(algorithm, chm.k, ring)
+    qes = QesParams(mag_step=args.qes_mag_step, phase_step_deg=args.qes_phase_step_deg,
+                    mag_max=args.qes_mag_max)
     clll = CLLLParams(delta=args.clll_delta, max_iter=args.clll_max_iter)
-
-    if algorithm == "optimal":
-        res = search_optimal(chm.row_vector(), ring)
-        return res, res.rate
-    if algorithm == "mimo-optimal":
-        res = search_optimal_mimo(chm, ring)
-        return res, res.rate
-    if algorithm == "qes":
-        res = qes_search(chm.row_vector(), qes)
-        return res, res.rate
-    if algorithm == "clll":
-        res = clll_search(cost_matrix(chm.row_vector()), clll)
-        return res, rate(chm.row_vector(), res.a_opt)
-    # exhaustive
-    if k == 1:
-        ch = chm.row_vector()
-        res = exhaustive_search(cost_matrix(ch), phi_bound(ch), ring, prune=args.prune)
-        return res, rate(ch, res.a_opt)
-    res = exhaustive_search(mimo_gram(chm), mimo_phi(chm), ring, prune=args.prune)
-    return res, mimo_rate(chm, res.a_opt, b_opt(chm, res.a_opt))
+    M, phi = gram(chm)
+    res = run_algorithm(algorithm, chm, ring, M, phi, qes, clll, args.prune)
+    return res, result_rate(chm, res)
 
 
 def _cmd_search(args) -> int:
@@ -159,11 +123,7 @@ def _cmd_search(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.output is not None:
-        cfg = BenchConfig(
-            L=cfg.L, snr_db_list=cfg.snr_db_list, trials=cfg.trials, seed=cfg.seed,
-            k=cfg.k, ring=cfg.ring, algorithms=cfg.algorithms, qes=cfg.qes,
-            clll=cfg.clll, output_path=args.output,
-        )
+        cfg = dataclasses.replace(cfg, output_path=args.output)
     records = run_sweep(cfg)
     if cfg.output_path:
         print(f"wrote {len(records)} records to {cfg.output_path}")
@@ -201,33 +161,32 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Reduced-scale oracle equivalence: exact searches vs pruned exhaustive."""
+    """Reduced-scale oracle equivalence: exact searches vs the full-ball scan.
+
+    The oracle is `exhaustive_search(prune="norm")`, which shares no code
+    with the depth-first certification inside the exact searches.
+    """
     rng = np.random.default_rng(args.seed)
+    cases = [
+        (ring, snr, 1, "optimal")
+        for ring in (Ring.GAUSSIAN, Ring.EISENSTEIN)
+        for snr in (0.0, 10.0, 20.0)
+        for _ in range(args.trials)
+    ]
+    cases += [(Ring.GAUSSIAN, 10.0, 2, "mimo-optimal")] * max(1, args.trials // 2)
     t0 = time.perf_counter()
     failures = 0
-    total = 0
-    for ring in (Ring.GAUSSIAN, Ring.EISENSTEIN):
-        for snr in (0.0, 10.0, 20.0):
-            P = 10.0 ** (snr / 10.0)
-            for _ in range(args.trials):
-                ch = gen_channel(2, 1, rng, P).row_vector()
-                res = search_optimal(ch, ring)
-                ref = exhaustive_search(cost_matrix(ch), phi_bound(ch), ring, prune="cost")
-                total += 1
-                if abs(res.f_min - ref.f_min) > MATCH_RTOL * ref.f_min:
-                    failures += 1
-                    print(f"MISMATCH ring={ring.name} snr={snr} h={ch.h.tolist()} "
-                          f"f={res.f_min} ref={ref.f_min}")
-    for _ in range(max(1, args.trials // 2)):
-        chm = gen_channel(2, 2, rng, 10.0)
-        res = search_optimal_mimo(chm, Ring.GAUSSIAN)
-        ref = exhaustive_search(mimo_gram(chm), mimo_phi(chm), Ring.GAUSSIAN, prune="cost")
-        total += 1
+    for ring, snr, k, alg in cases:
+        chm = gen_channel(2, k, rng, 10.0 ** (snr / 10.0))
+        M, phi = gram(chm)
+        res = run_algorithm(alg, chm, ring, M, phi)
+        ref = run_algorithm("exhaustive", chm, ring, M, phi, prune="norm")
         if abs(res.f_min - ref.f_min) > MATCH_RTOL * ref.f_min:
             failures += 1
-            print(f"MISMATCH k=2 H={chm.H.tolist()} f={res.f_min} ref={ref.f_min}")
+            print(f"MISMATCH ring={ring.name} snr={snr} k={k} H={chm.H.tolist()} "
+                  f"f={res.f_min} ref={ref.f_min}")
     dt = time.perf_counter() - t0
-    print(f"selftest: {total - failures}/{total} instances matched the oracle in {dt:.1f}s")
+    print(f"selftest: {len(cases) - failures}/{len(cases)} instances matched the oracle in {dt:.1f}s")
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 

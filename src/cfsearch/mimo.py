@@ -188,7 +188,8 @@ class _TupleScan:
                 if ssum.size > MAX_PREFIX_ROWS:
                     raise NumericError(
                         f"tuple prefix table of {ssum.size} rows exceeds the "
-                        f"{MAX_PREFIX_ROWS}-row budget"
+                        f"{MAX_PREFIX_ROWS}-row budget (L={T.shape[1]}, k={k}, "
+                        f"ring={self.ring.name.lower()}, columns={tuple(tau_arr.tolist())})"
                     )
 
 

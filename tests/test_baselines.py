@@ -80,6 +80,16 @@ class TestExhaustiveSearch:
             exhaustive_search(M, phi_bound(ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)),
                               Ring.GAUSSIAN, prune="norm", max_table_rows=10)
 
+    def test_table_cap_error_names_the_instance(self):
+        ch = ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)
+        with pytest.raises(NumericError) as info:
+            exhaustive_search(cost_matrix(ch), phi_bound(ch), Ring.GAUSSIAN,
+                              prune="norm", max_table_rows=10)
+        msg = str(info.value)
+        assert "10-row budget" in msg
+        assert "L=3" in msg and "ring=gaussian" in msg
+        assert f"phi={phi_bound(ch)!r}" in msg
+
     def test_node_cap_raises(self):
         ch = ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)
         with pytest.raises(NumericError):
@@ -143,6 +153,14 @@ class TestClllSearch:
         ch = ChannelVector(np.array([0.3 - 1.1j, -0.7 + 0.2j, 1.4 + 0.9j, 0.2j]), 80.0)
         with pytest.raises(NumericError):
             clll_search(cost_matrix(ch), CLLLParams(max_iter=1))
+
+    def test_iteration_cap_error_names_the_instance(self):
+        ch = ChannelVector(np.array([0.3 - 1.1j, -0.7 + 0.2j, 1.4 + 0.9j, 0.2j]), 80.0)
+        with pytest.raises(NumericError) as info:
+            clll_search(cost_matrix(ch), CLLLParams(max_iter=1))
+        msg = str(info.value)
+        assert "did not converge in 1 iterations" in msg
+        assert "L=4" in msg and "delta=0.99" in msg
 
     def test_rejects_bad_matrix(self):
         with pytest.raises(NumericError):

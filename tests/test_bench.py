@@ -253,6 +253,20 @@ class TestLoadConfig:
         with pytest.raises(InvalidInputError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("line", [
+        "trials = many", "snr_db_list = 0, 10", "qes_mag_step = fine", "clll_max_iter = [1]",
+        "algorithms = 5",
+    ])
+    def test_malformed_value_names_file_and_key(self, tmp_path, line):
+        base = {"L": "2", "snr_db_list": "[0]", "trials": "1", "seed": "1"}
+        key, _, value = (part.strip() for part in line.partition("="))
+        base[key] = value
+        path = tmp_path / "s.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+        with pytest.raises(InvalidInputError) as info:
+            load_config(str(path))
+        assert str(path) in str(info.value) and repr(key) in str(info.value)
+
     def test_unknown_ring_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("L = 2\nsnr_db_list = [0]\ntrials = 1\nseed = 1\nring = octonion\n")

@@ -174,6 +174,13 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--config", str(path))
         assert code == EXIT_USAGE
 
+    def test_malformed_config_value_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("L = 2\nsnr_db_list = 0, 10\ntrials = 1\nseed = 1\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert "snr_db_list" in err and "internal error" not in err
+
 
 class TestCompareCommand:
     def test_table_output(self, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cfsearch.baselines import exhaustive_search
-from cfsearch.errors import InvalidInputError
+from cfsearch import mimo
+from cfsearch.errors import InvalidInputError, NumericError
 from cfsearch.mimo import enumerate_subsets, search_optimal_mimo, vertex_candidates
 from cfsearch.model import (
     ChannelMatrix,
@@ -148,6 +149,16 @@ class TestSearchOptimalMimo:
         assert res.f_min == pytest.approx(ref.f_min, rel=1e-12)
         assert res.f_min < min(cost(u, M) for u in unit_vectors(2, Ring.GAUSSIAN))
         assert cost(res.a_opt, M) == pytest.approx(res.f_min, rel=1e-12)
+
+    def test_prefix_budget_error_names_the_instance(self, monkeypatch):
+        monkeypatch.setattr(mimo, "MAX_PREFIX_ROWS", 1)
+        H = np.array([[1.0, 0.5j, -0.3], [0.2, 1.0, 0.7j]])
+        with pytest.raises(NumericError) as info:
+            search_optimal_mimo(ChannelMatrix(H, 10.0), Ring.EISENSTEIN)
+        msg = str(info.value)
+        assert "1-row budget" in msg
+        assert "L=3" in msg and "k=2" in msg
+        assert "ring=eisenstein" in msg and "columns=(0, 1)" in msg
 
     def test_deterministic(self):
         rng = np.random.default_rng(404)
