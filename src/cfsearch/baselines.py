@@ -11,9 +11,11 @@ order.
 
 `clll_search` is a complex-lattice LLL reduction over Gaussian integers; the
 shortest reduced basis row gives an approximate minimizer with the usual
-exponential approximation guarantee.  `qes_search` quantizes a polar grid of
-scalings of the channel vector and is the natural discretized baseline for
-the exact discontinuity search.
+exponential approximation guarantee.  Its Gram-Schmidt data comes from the
+Cholesky factor once and is updated in place on each size reduction and
+swap (Gan, Ling & Mow, IEEE T-SP 2009), never recomputed.  `qes_search`
+quantizes a polar grid of scalings of the channel vector and is the natural
+discretized baseline for the exact discontinuity search.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import InvalidInputError, NumericError
 from .model import ChannelVector, SearchResult, check_cost_matrix, cost_batch, cost_matrix, phi_bound, rate
 from .rings import (
     SQRT3,
-    GaussianInt,
     Ring,
     eisenstein_values,
     gaussian_values,
@@ -193,46 +194,31 @@ class CLLLParams:
             raise InvalidInputError("max_iter must be positive")
 
 
-def _gso(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt orthogonalization of basis rows; returns (B*, mu)."""
-    L = B.shape[0]
-    Bs = np.zeros_like(B)
-    mu = np.zeros((L, L), np.complex128)
-    for i in range(L):
-        Bs[i] = B[i]
-        for j in range(i):
-            mu[i, j] = np.vdot(Bs[j], B[i]) / np.vdot(Bs[j], Bs[j]).real
-            Bs[i] = Bs[i] - mu[i, j] * Bs[j]
-    return Bs, mu
-
-
 def clll_search(M: np.ndarray, params: CLLLParams | None = None) -> SearchResult:
     """Approximate minimizer of a M a^H over Gaussian-integer vectors via complex LLL.
 
     Reduces the rows of the Cholesky factor of M with unimodular Gaussian
     integer operations (size reduction rounds each mu to the nearest Gaussian
     integer; the Lovasz condition uses |mu|^2) and returns the transform row
-    of the shortest reduced basis vector.  The result is within a factor
-    2^(L-1) of the optimum for delta >= 3/4 in the usual LLL sense.  Raises
-    NumericError if reduction does not converge within `max_iter` steps.
+    of the shortest reduced basis vector.  The factor is lower triangular, so
+    its Gram-Schmidt coefficients mu and squared lengths ||b*||^2 are read
+    off it once; each size reduction and swap then updates them in place in
+    O(L) (Gan, Ling & Mow, "Complex lattice reduction algorithm for
+    low-complexity full-diversity MIMO detection", IEEE T-SP 2009).  The
+    result is within a factor 2^(L-1) of the optimum for delta >= 3/4 in the
+    usual LLL sense.  Raises NumericError if reduction does not converge
+    within `max_iter` steps.
     """
     params = params or CLLLParams()
     M = check_cost_matrix(M)
     L = M.shape[0]
     t0 = time.perf_counter()
     iters = 0
-    if L == 1:
-        a_opt = (GaussianInt(1, 0),)
-        return SearchResult(
-            a_opt=a_opt,
-            f_min=float(M[0, 0].real),
-            rate=None,
-            candidates_checked=0,
-            elapsed_s=time.perf_counter() - t0,
-            ring=Ring.GAUSSIAN,
-        )
     B = np.linalg.cholesky(M).astype(np.complex128)
     U = np.eye(L, dtype=np.complex128)
+    d = B.diagonal().real
+    mu = B / d
+    bn = d * d
     k = 1
     while k < L:
         iters += 1
@@ -241,19 +227,30 @@ def clll_search(M: np.ndarray, params: CLLLParams | None = None) -> SearchResult
                 f"lattice reduction did not converge in {params.max_iter} iterations "
                 f"(L={L}, delta={params.delta!r})"
             )
-        Bs, mu = _gso(B)
         for j in range(k - 1, -1, -1):
             q = quantize_gaussian(complex(mu[k, j]))
             if q.re or q.im:
-                B[k] -= q.value * B[j]
-                U[k] -= q.value * U[j]
-                Bs, mu = _gso(B)
-        norms = np.einsum("ij,ij->i", Bs, Bs.conj()).real
-        if norms[k] >= (params.delta - abs(mu[k, k - 1]) ** 2) * norms[k - 1]:
+                qv = q.value
+                B[k] -= qv * B[j]
+                U[k] -= qv * U[j]
+                mu[k, :j] -= qv * mu[j, :j]
+                mu[k, j] -= qv
+        m = complex(mu[k, k - 1])
+        m2 = abs(m) ** 2
+        if bn[k] >= (params.delta - m2) * bn[k - 1]:
             k += 1
         else:
+            b_new = bn[k] + m2 * bn[k - 1]
+            m_new = m.conjugate() * bn[k - 1] / b_new
+            bn[k] = bn[k - 1] * bn[k] / b_new
+            bn[k - 1] = b_new
             B[[k - 1, k]] = B[[k, k - 1]]
             U[[k - 1, k]] = U[[k, k - 1]]
+            mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
+            mu[k, k - 1] = m_new
+            t = mu[k + 1 :, k].copy()
+            mu[k + 1 :, k] = mu[k + 1 :, k - 1] - m * t
+            mu[k + 1 :, k - 1] = t + m_new * mu[k + 1 :, k]
             k = max(k - 1, 1)
     row_norms = np.einsum("ij,ij->i", B, B.conj()).real
     i = int(np.argmin(row_norms))
