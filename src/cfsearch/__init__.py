@@ -24,7 +24,6 @@ from .model import (
     phi_bound,
     rate,
     rate_from_cost,
-    rate_general,
 )
 from .optimal import (
     AlphaSet,
@@ -87,7 +86,6 @@ __all__ = [
     "quantize_gaussian",
     "rate",
     "rate_from_cost",
-    "rate_general",
     "run_sweep",
     "search_optimal",
     "search_optimal_mimo",

@@ -26,25 +26,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfs import MAX_DFS_NODES, cost_pruned_scan
+from .dfs import MAX_DFS_NODES, best_unit, cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import ChannelVector, SearchResult, check_cost_matrix, cost_batch, cost_matrix, phi_bound, rate
 from .rings import (
     SQRT3,
     Ring,
+    canonical,
     eisenstein_values,
     gaussian_values,
     quantize_gaussian,
     quantize_gaussian_array,
-    unit_vectors,
     vector_from_arrays,
-    vector_value,
 )
 
 #: Rows processed per vectorized block in the full-ball and polar-grid scans.
 SCAN_CHUNK_ROWS = 1 << 19
 #: Hard ceiling on materialized prefix rows in the norm-pruned scan.
 MAX_TABLE_ROWS = 30_000_000
+#: Hard ceiling on complete vectors in the norm-pruned scan's ball: about 25
+#: times the largest ball the test suite or `cfsearch selftest` scans
+#: (4.1e6 vectors, Eisenstein L=2 at 20 dB).
+MAX_BALL_VECTORS = 100_000_000
 
 
 def _component_candidates(ring: Ring, phi2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,12 +80,14 @@ def _norm_pruned_scan(
     Grows the candidate table one component at a time, pruning prefixes by
     accumulated squared norm, and folds the final component into a chunked
     cost evaluation.  Returns winning coordinates, the minimum cost, and the
-    number of complete vectors evaluated.
+    number of complete vectors evaluated.  Raises NumericError before any
+    evaluation when the ball holds more than `MAX_BALL_VECTORS` of them.
     """
     L = M.shape[0]
     phi2 = phi * phi
     cx, cy, cn = _component_candidates(ring, phi2)
     ncand = cx.size
+    cn_sorted = np.sort(cn)
     values_fn = gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
 
     X = np.empty((1, 0), np.int64)
@@ -94,6 +99,16 @@ def _norm_pruned_scan(
 
     for comp in range(L):
         last = comp == L - 1
+        if last:
+            # every prefix extends by each candidate within its remaining norm;
+            # the one all-zero prefix and candidate make the zero vector
+            count = int(np.searchsorted(cn_sorted, phi2 - N, side="right").sum()) - 1
+            if count > MAX_BALL_VECTORS:
+                raise NumericError(
+                    f"norm-pruned scan ball of {count} vectors exceeds the "
+                    f"{MAX_BALL_VECTORS}-vector budget (L={L}, ring={ring.name.lower()}, "
+                    f"phi={phi!r}); use prune='cost'"
+                )
         parts_x, parts_y, parts_n = [], [], []
         step = max(1, SCAN_CHUNK_ROWS // ncand)
         for lo in range(0, N.size, step):
@@ -151,7 +166,8 @@ def exhaustive_search(
 
     `prune="norm"` scans the entire ball (work grows like phi^(2L));
     `prune="cost"` explores the same search space depth-first with
-    partial-cost pruning and returns the identical minimum.  The minimizer of
+    partial-cost pruning and returns the identical minimum.  Either way the
+    minimizer is returned as its `canonical` unit multiple.  The minimizer of
     the quadratic form always lies in the ball when phi^2 is an upper bound
     on the unit-vector cost, which holds for the Gram matrices produced by
     `cost_matrix` and `mimo_gram`.  Returns `rate=None`: a Gram matrix alone
@@ -167,9 +183,9 @@ def exhaustive_search(
         x, y, _, checked = _norm_pruned_scan(M, phi, ring, max_table_rows)
     else:
         x, y, _, checked = cost_pruned_scan(M, ring, max_nodes)
-    a_opt = vector_from_arrays(x, y, ring)
     values_fn = gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
     f_min = float(cost_batch(values_fn(x, y)[None, :], M)[0])
+    a_opt = vector_from_arrays(*canonical(x, y, ring), ring)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,
@@ -298,10 +314,11 @@ def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResu
     """Gaussian-ring baseline quantizing a polar grid of channel scalings.
 
     Evaluates a = [alpha * h] for every grid scaling alpha (magnitude-major,
-    phase-minor order), then unit vectors; ties keep the first candidate
-    encountered.  Accuracy is limited by the grid pitch, which is the point:
-    this is the discretized stand-in that the exact discontinuity scan
-    replaces.
+    phase-minor order), then the unit vectors, priced from the diagonal of M
+    (`best_unit`); ties keep the first candidate encountered, returned as
+    its `canonical` unit multiple.  Accuracy is limited by the grid pitch,
+    which is the point: this is the discretized stand-in that the exact
+    discontinuity scan replaces.
     """
     params = params or QesParams()
     t0 = time.perf_counter()
@@ -335,17 +352,14 @@ def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResu
                 f_best = float(f[i])
                 best = (x[i], y[i])
 
-    units = unit_vectors(ch.L, Ring.GAUSSIAN)
-    fu = cost_batch(np.stack([vector_value(u) for u in units]), M)
-    checked += fu.size
-    iu = int(np.argmin(fu))
-    if fu[iu] < f_best:
-        a_opt = units[iu]
-        f_min = float(fu[iu])
+    ux, uy, uf = best_unit(M)
+    checked += ch.L
+    if uf < f_best:
+        x, y, f_min = ux, uy, uf
     else:
         assert best is not None
-        a_opt = vector_from_arrays(best[0], best[1], Ring.GAUSSIAN)
-        f_min = f_best
+        (x, y), f_min = best, f_best
+    a_opt = vector_from_arrays(*canonical(x, y, Ring.GAUSSIAN), Ring.GAUSSIAN)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,

@@ -39,22 +39,38 @@ from .rings import SQRT3, Ring
 MAX_DFS_NODES = 20_000_000
 
 
+def best_unit(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cheapest unit vector of a Gram matrix as coordinates (x, y) and cost.
+
+    u*e_l costs |u|^2 M_ll = M_ll for every ring unit u, so the L diagonal
+    entries price all 4L (Gaussian) or 6L (Eisenstein) unit vectors at
+    once.  Returns e_l for the first smallest M_ll.
+    """
+    diag = M.diagonal().real
+    l = int(np.argmin(diag))
+    x = np.zeros(M.shape[0], np.int64)
+    x[l] = 1
+    return x, np.zeros_like(x), float(diag[l])
+
+
 def cost_pruned_scan(
     M: np.ndarray,
     ring: Ring,
-    max_nodes: int = MAX_DFS_NODES,
+    max_nodes: int | None = None,
     seed: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Depth-first scan with partial-cost pruning; exact same minimum as a ball scan.
 
     `seed` is an optional (x, y, f) incumbent; only strictly cheaper vectors
     are explored, so the seed is returned unchanged whenever it is already
-    optimal.  Without a seed the incumbent starts at the best unit vector,
-    whose cost is the smallest diagonal entry of M.
+    optimal.  Without a seed the incumbent starts at `best_unit(M)`.
 
     Returns (x, y, f_best, nodes expanded).  Raises NumericError naming the
-    instance once more than `max_nodes` nodes are expanded.
+    instance once more than `max_nodes` nodes are expanded (default
+    `MAX_DFS_NODES`, read at call time).
     """
+    if max_nodes is None:
+        max_nodes = MAX_DFS_NODES
     L = M.shape[0]
     n = 2 * L
     omega = 1j if ring is Ring.GAUSSIAN else complex(-0.5, SQRT3 / 2.0)
@@ -66,12 +82,7 @@ def cost_pruned_scan(
     mu = (C / cdiag).T.tolist()
 
     if seed is None:
-        diag = M.diagonal().real
-        j0 = int(np.argmin(diag))
-        f_best = float(diag[j0])
-        best_x = np.zeros(L, np.int64)
-        best_y = np.zeros(L, np.int64)
-        best_x[j0] = 1
+        best_x, best_y, f_best = best_unit(M)
     else:
         best_x = np.asarray(seed[0], np.int64).copy()
         best_y = np.asarray(seed[1], np.int64).copy()

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dfs import cost_pruned_scan
+from .dfs import best_unit, cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import (
     ChannelMatrix,
@@ -39,19 +39,18 @@ from .model import (
     mimo_gram,
     mimo_phi,
     mimo_rate,
+    replay_args,
 )
 from .optimal import DiscontinuitySet, gen_disc
 from .rings import (
     CoefficientVector,
     Ring,
+    canonical,
     eisenstein_values,
     gaussian_values,
     quantize_eisenstein_array,
     quantize_gaussian_array,
-    unit_vectors,
-    vector_coords,
     vector_from_arrays,
-    vector_value,
 )
 
 #: A column subset is skipped when |det| <= this times the Hadamard bound.
@@ -196,14 +195,17 @@ class _TupleScan:
 def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
     """Minimize a M a^H over nonzero ring vectors for a k-antenna channel.
 
-    Evaluates unit vectors first (establishing the pruning incumbent), then
-    every boundary-tuple candidate across all full-rank column subsets in
-    lexicographic subset order, and finally certifies the incumbent with a
-    seeded cost-pruned depth-first scan that replaces it only when a
-    strictly cheaper vector exists.  Ties keep the earlier candidate under
-    this fixed order, so unit vectors win exact ties.  Near-singular subsets
-    are skipped and counted in `subsets_skipped`; if every subset is skipped
-    the search reduces to the unit incumbent plus certification.
+    Prices the unit vectors first from the diagonal of M (`best_unit`,
+    establishing the pruning incumbent), then every boundary-tuple
+    candidate across all full-rank column subsets in lexicographic subset
+    order, and finally certifies the incumbent with a seeded cost-pruned
+    depth-first scan that replaces it only when a strictly cheaper vector
+    exists.  Ties keep the earlier candidate under this fixed order, so
+    unit vectors win exact ties; the winner is returned as its `canonical`
+    unit multiple.  Near-singular subsets are skipped and counted in
+    `subsets_skipped`; if every subset is skipped the search reduces to the
+    unit incumbent plus certification.  A certification budget error is
+    re-raised with the `cfsearch search` arguments that replay the instance.
     """
     t0 = time.perf_counter()
     M = mimo_gram(ch)
@@ -216,11 +218,8 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
         q = (x0 * x0 - x0 * y0 + y0 * y0).astype(np.float64)
 
     scan = _TupleScan(psi.points, q, M, ring)
-    units = unit_vectors(ch.L, ring)
-    fu = cost_batch(np.stack([vector_value(u) for u in units]), M)
-    scan.checked += fu.size
-    iu = int(np.argmin(fu))
-    unit_f = float(fu[iu])
+    ux, uy, unit_f = best_unit(M)
+    scan.checked += ch.L
     scan.f_best = unit_f
 
     budget_cap = phi * phi * (1.0 + BUDGET_SLACK)
@@ -234,21 +233,24 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
         scan.scan_subset(T, np.asarray(tau), ch.k, budget_cap)
 
     if scan.best is None or unit_f <= scan.f_best:
-        a_opt = units[iu]
-        f_min = unit_f
-        seed_x, seed_y = vector_coords(a_opt, ring)
+        x, y, f_min = ux, uy, unit_f
     else:
-        a_opt = vector_from_arrays(scan.best[0], scan.best[1], ring)
-        f_min = scan.f_best
-        seed_x, seed_y = scan.best
+        (x, y), f_min = scan.best, scan.f_best
 
     # certification: replace the incumbent only if something cheaper exists
-    cx, cy, cf, nodes = cost_pruned_scan(M, ring, seed=(seed_x, seed_y, f_min))
+    try:
+        cx, cy, cf, nodes = cost_pruned_scan(M, ring, seed=(x, y, f_min))
+    except NumericError as e:
+        raise NumericError(
+            f"{e} while certifying; replay with "
+            f"cfsearch search {replay_args(ch.H, ch.P, ring, 'mimo-optimal')}"
+        ) from e
     scan.checked += nodes
     if cf < f_min:
-        a_opt = vector_from_arrays(cx, cy, ring)
+        x, y = cx, cy
         f_min = float(cost_batch(_values_fn(ring)(cx, cy)[None, :], M)[0])
 
+    a_opt = vector_from_arrays(*canonical(x, y, ring), ring)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,

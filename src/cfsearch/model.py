@@ -18,6 +18,7 @@ of the channel matrix.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,17 @@ from .rings import CoefficientVector, Ring, vector_value
 HERMITIAN_TOL = 1e-12
 COST_IMAG_TOL = 1e-9
 BOPT_RESIDUAL_TOL = 1e-8
+
+
+def replay_args(H: np.ndarray, P: float, ring: Ring, algorithm: str) -> str:
+    """`cfsearch search` arguments that rerun one search on channel `H`.
+
+    The channel is written as JSON [re, im] pairs (a flat list for a vector,
+    one list per row for a matrix), which `--h` reads back to the same
+    floats.
+    """
+    pairs = json.dumps(np.stack([H.real, H.imag], axis=-1).tolist())
+    return f"--h '{pairs}' --P {P!r} --ring {ring.value} --algorithm {algorithm}"
 
 
 def log2_plus(x: float) -> float:
@@ -112,9 +124,13 @@ class SearchResult:
 
     `f_min` is the minimized quadratic form value; `rate` is the achievable
     rate for `a_opt` (None for Gram-matrix-only searches, which have no
-    channel context to derive a rate from); `candidates_checked` counts cost
-    evaluations including unit vectors; `subsets_skipped` counts
-    near-singular column subsets dropped by the matrix search.
+    channel context to derive a rate from); `candidates_checked` counts the
+    search's work: for the exact searches and `qes_search` the sampled cost
+    evaluations, plus L unit candidates (one diagonal entry per component,
+    not 4L or 6L unit vectors), plus the certification's DFS nodes; for
+    `exhaustive_search` the complete vectors or DFS nodes; for
+    `clll_search` the iterations.  `subsets_skipped` counts near-singular
+    column subsets dropped by the matrix search.
     """
 
     a_opt: CoefficientVector
@@ -190,15 +206,6 @@ def rate(ch: ChannelVector, a) -> float:
     if f8 <= 0.0:
         raise NumericError(f"effective noise must be positive, got {f8}")
     return log2_plus(1.0 / f8)
-
-
-def rate_general(ch: ChannelVector, a, alpha: complex) -> float:
-    """Rate for an arbitrary (not necessarily optimal) scaling `alpha`."""
-    av = _as_complex_vector(a)
-    if not np.any(av):
-        raise InvalidInputError("coefficient vector must be nonzero")
-    denom = abs(alpha) ** 2 + ch.P * float(np.linalg.norm(alpha * ch.h - av) ** 2)
-    return log2_plus(ch.P / denom)
 
 
 def rate_from_cost(f: float, phi: float) -> float:

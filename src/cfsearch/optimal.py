@@ -5,7 +5,8 @@ the componentwise quantization of alpha*h for some complex scaling alpha.
 As alpha varies, the quantized vector only changes when some component
 alpha*h_l crosses a quantizer cell boundary, so it suffices to evaluate the
 cost at the finitely many scalings where a boundary crossing can change the
-winning vector, plus all unit vectors.
+winning vector, plus all unit vectors.  Every unit vector u*e_l costs the
+diagonal entry M_ll, so the unit vectors are priced from diag(M) alone.
 
 The marked boundary points for the Gaussian ring are the complex numbers
 with one coordinate integer and the other half-integer, or both coordinates
@@ -13,10 +14,16 @@ half-integer, inside a circle of radius ceil(Phi) + 1/2.  For the Eisenstein
 ring they are the midpoints of nearest-neighbor lattice pairs, which form
 three lattice families inside a circle of radius ceil(Phi) + 3/4.
 
-A marked point places the active component exactly on a cell boundary, where
-the deterministic tie rule selects one adjacent cell; the symmetry-reduced
-scans additionally evaluate the other cells adjacent to the marked point so
-that dropping rotated points never drops a candidate.
+Multiplying a vector by a unit rotates every marked point by the same angle
+and leaves the cost unchanged, so by default the search keeps only the
+marked points of one unit sector: arguments in [0, 90) degrees for the
+Gaussian ring, [0, 60) for the Eisenstein ring.  A marked point places the
+active component exactly on a cell boundary, where the deterministic tie
+rule selects one adjacent cell; the symmetry-reduced scans additionally
+evaluate the other cells adjacent to the marked point so that dropping
+rotated points never drops a candidate.  The result is returned as the
+`canonical` member of its unit orbit, so it does not depend on which
+rotation the scan happened to meet first.
 
 Marked-point sampling alone is not quite exhaustive.  In the scaling plane
 the quantized vector is constant on cells of an arrangement of scaled
@@ -40,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfs import cost_pruned_scan
-from .errors import InvalidInputError
+from .dfs import best_unit, cost_pruned_scan
+from .errors import InvalidInputError, NumericError
 from .model import (
     ChannelVector,
     SearchResult,
@@ -49,18 +56,17 @@ from .model import (
     cost_matrix,
     phi_bound,
     rate,
+    replay_args,
 )
 from .rings import (
     SQRT3,
     Ring,
+    canonical,
     eisenstein_values,
     gaussian_values,
     quantize_eisenstein_array,
     quantize_gaussian_array,
-    unit_vectors,
-    vector_coords,
     vector_from_arrays,
-    vector_value,
 )
 
 EISENSTEIN_BOUND_SLACK = 1e-12  # relative slack for irrational coordinates
@@ -252,33 +258,41 @@ def search_optimal(
     ring: Ring,
     quadrant_reduce: bool | None = None,
     *,
-    sector_reduce: bool = False,
+    sector_reduce: bool | None = None,
 ) -> SearchResult:
     """Minimize a M a^H over nonzero ring vectors by discontinuity enumeration.
 
     Phase one scans every candidate scaling from `gen_alpha_set`, quantizing
     alpha*h with the active component pinned to its exact marked point (the
     symmetry-reduced scans additionally evaluate every adjacent quantizer
-    cell of the active component).  Phase two scans unit vectors, updating
-    only on strict improvement.  Phase three certifies the incumbent with a
-    seeded cost-pruned depth-first scan, which replaces it only when a
-    strictly cheaper vector exists (see the module docstring for why
-    sampling alone can rarely miss one).  Ties resolve to the first
-    candidate encountered in this fixed order, so identical inputs always
-    return the identical vector.
+    cell of the active component).  Phase two prices the unit vectors from
+    the diagonal of M (`best_unit`: u*e_l costs M_ll for every unit u),
+    updating only on strict improvement.  Phase three certifies the
+    incumbent with a seeded cost-pruned depth-first scan, which replaces it
+    only when a strictly cheaper vector exists (see the module docstring for
+    why sampling alone can rarely miss one).  Ties resolve to the first
+    candidate encountered in this fixed order, and the winner is returned
+    as its `canonical` unit multiple, so identical inputs always return the
+    identical vector.
 
-    `quadrant_reduce=None` applies the ring default: on for Gaussian, not
-    applicable for Eisenstein.
+    `quadrant_reduce=None` and `sector_reduce=None` apply the ring default:
+    one unit sector of marked points, a quarter for Gaussian and a sixth for
+    Eisenstein.  Passing False scans every marked point; each flag is
+    rejected for the other ring.  A certification budget error is re-raised
+    with the `cfsearch search` arguments that replay the instance.
     """
     if ring is Ring.GAUSSIAN:
         if sector_reduce:
             raise InvalidInputError("sector reduction applies to the Eisenstein ring only")
         if quadrant_reduce is None:
             quadrant_reduce = True
+        sector_reduce = False
     else:
         if quadrant_reduce:
             raise InvalidInputError("quadrant reduction applies to the Gaussian ring only")
         quadrant_reduce = False
+        if sector_reduce is None:
+            sector_reduce = True
 
     t0 = time.perf_counter()
     M = cost_matrix(ch)
@@ -323,28 +337,28 @@ def search_optimal(
                 best.consider(xv, yv, values_fn)
 
     # unit vectors, strict improvement only
-    units = unit_vectors(ch.L, ring)
-    V = np.stack([vector_value(u) for u in units])
-    fu = cost_batch(V, M)
-    best.checked += fu.size
-    iu = int(np.argmin(fu))
-    if fu[iu] < best.f:
-        a_opt = units[iu]
-        f_min = float(fu[iu])
-        seed_x, seed_y = vector_coords(a_opt, ring)
+    ux, uy, uf = best_unit(M)
+    best.checked += ch.L
+    if uf < best.f:
+        x, y, f_min = ux, uy, uf
     else:
         assert best.coords is not None
-        a_opt = vector_from_arrays(best.coords[0], best.coords[1], ring)
-        f_min = best.f
-        seed_x, seed_y = best.coords
+        (x, y), f_min = best.coords, best.f
 
     # certification: replace the incumbent only if something cheaper exists
-    cx, cy, cf, nodes = cost_pruned_scan(M, ring, seed=(seed_x, seed_y, f_min))
+    try:
+        cx, cy, cf, nodes = cost_pruned_scan(M, ring, seed=(x, y, f_min))
+    except NumericError as e:
+        raise NumericError(
+            f"{e} while certifying; replay with "
+            f"cfsearch search {replay_args(ch.h, ch.P, ring, 'optimal')}"
+        ) from e
     best.checked += nodes
     if cf < f_min:
-        a_opt = vector_from_arrays(cx, cy, ring)
+        x, y = cx, cy
         f_min = float(cost_batch(values_fn(cx, cy)[None, :], M)[0])
 
+    a_opt = vector_from_arrays(*canonical(x, y, ring), ring)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,

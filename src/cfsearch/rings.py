@@ -10,6 +10,8 @@ fixed, deterministic tie-breaking rules:
   B = {(u, v) : u integer, v in sqrt(3)*Z} and its coset B + (1/2, sqrt(3)/2);
   on an exact distance tie pick the candidate with larger squared modulus,
   then larger real part, then larger imaginary part.
+
+`canonical` picks one representative of a coefficient vector's unit orbit.
 """
 
 from __future__ import annotations
@@ -249,6 +251,74 @@ def vector_coords(vec: CoefficientVector, ring: Ring) -> tuple[np.ndarray, np.nd
         x = np.array([e.a for e in vec], np.int64)
         y = np.array([e.b for e in vec], np.int64)
     return x, y
+
+
+#: Integer matrices ((p, q), (r, t)) mapping coordinates (x, y) to
+#: (p x + q y, r x + t y): entry s multiplies by the unit that rotates
+#: sector s (arguments [s * 90, s * 90 + 90) or [s * 60, s * 60 + 60)
+#: degrees) onto sector 0.
+_TO_SECTOR_ZERO = {
+    Ring.GAUSSIAN: (
+        ((1, 0), (0, 1)),  # 1
+        ((0, 1), (-1, 0)),  # -i
+        ((-1, 0), (0, -1)),  # -1
+        ((0, -1), (1, 0)),  # i
+    ),
+    Ring.EISENSTEIN: (
+        ((1, 0), (0, 1)),  # 1
+        ((0, 1), (-1, 1)),  # -w
+        ((-1, 1), (-1, 0)),  # w^2
+        ((-1, 0), (0, -1)),  # -1
+        ((0, -1), (1, -1)),  # w
+        ((1, -1), (1, 0)),  # -w^2
+    ),
+}
+
+
+def _sector(x: int, y: int, ring: Ring) -> int:
+    """Index of the unit sector holding the nonzero element with coordinates (x, y).
+
+    Gaussian sector 0 is x > 0, y >= 0 (arguments [0, 90) degrees);
+    Eisenstein sector 0 is 0 <= b < a (arguments [0, 60) degrees).  The
+    other sectors are those rotated by 90 or 60 degrees each.
+    """
+    if ring is Ring.GAUSSIAN:
+        if y >= 0 and x > 0:
+            return 0
+        if x <= 0 and y > 0:
+            return 1
+        return 2 if x < 0 else 3
+    a, b = x, y
+    if 0 <= b < a:
+        return 0
+    if 0 < a <= b:
+        return 1
+    if a <= 0 < b:
+        return 2
+    if a < b <= 0:
+        return 3
+    return 4 if a < 0 else 5
+
+
+def canonical(x: np.ndarray, y: np.ndarray, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+    """One representative of the unit orbit of a nonzero coordinate vector.
+
+    Every unit multiple u*a has the cost of a, so a search's minimizer is
+    defined only up to its orbit (4 vectors for Gaussian, 6 for
+    Eisenstein).  The representative is the orbit member whose first
+    nonzero entry lies in sector 0: x > 0 and y >= 0 for Gaussian, or
+    0 <= b < a for Eisenstein.  The unit is read off that entry with exact
+    integer tests and applied to all entries, so the work is O(L).
+    """
+    x = np.asarray(x, np.int64)
+    y = np.asarray(y, np.int64)
+    for a, b in zip(x.tolist(), y.tolist()):
+        if a or b:
+            break
+    else:
+        raise InvalidInputError("coefficient vector must be nonzero")
+    (p, q), (r, t) = _TO_SECTOR_ZERO[ring][_sector(a, b, ring)]
+    return p * x + q * y, r * x + t * y
 
 
 def unit_vectors(L: int, ring: Ring) -> list[CoefficientVector]:
