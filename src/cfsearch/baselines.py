@@ -26,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfs import MAX_DFS_NODES, best_unit, cost_pruned_scan
+from .dfs import MAX_DFS_NODES, cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import ChannelVector, SearchResult, check_cost_matrix, cost_batch, cost_matrix, phi_bound, rate
+from .optimal import _BestTracker
 from .rings import (
     SQRT3,
     Ring,
     canonical,
-    eisenstein_values,
-    gaussian_values,
     quantize_gaussian,
     quantize_gaussian_array,
     vector_from_arrays,
@@ -54,18 +53,14 @@ def _component_candidates(ring: Ring, phi2: float) -> tuple[np.ndarray, np.ndarr
     """All single-component ring coordinates with squared modulus <= phi2.
 
     Returns int64 coordinate arrays and the (integer) squared moduli, sorted
-    lexicographically by coordinates.
+    lexicographically by coordinates.  Both coordinates of an element of
+    squared modulus at most phi2 lie within 2*sqrt(phi2)/sqrt(3) of zero in
+    either ring, so one square grid holds every candidate.
     """
-    if ring is Ring.GAUSSIAN:
-        c = math.floor(math.sqrt(phi2))
-        g = np.arange(-c, c + 1, dtype=np.int64)
-        x, y = (v.ravel() for v in np.meshgrid(g, g, indexing="ij"))
-        n = x * x + y * y
-    else:
-        c = math.floor(2.0 * math.sqrt(phi2) / SQRT3) + 1
-        g = np.arange(-c, c + 1, dtype=np.int64)
-        x, y = (v.ravel() for v in np.meshgrid(g, g, indexing="ij"))
-        n = x * x - x * y + y * y
+    c = math.floor(2.0 * math.sqrt(phi2) / SQRT3) + 1
+    g = np.arange(-c, c + 1, dtype=np.int64)
+    x, y = (v.ravel() for v in np.meshgrid(g, g, indexing="ij"))
+    n = ring.norm(x, y)
     keep = n <= phi2
     x, y, n = x[keep], y[keep], n[keep]
     order = np.lexsort((y, x))
@@ -88,7 +83,6 @@ def _norm_pruned_scan(
     cx, cy, cn = _component_candidates(ring, phi2)
     ncand = cx.size
     cn_sorted = np.sort(cn)
-    values_fn = gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
 
     X = np.empty((1, 0), np.int64)
     Y = np.empty((1, 0), np.int64)
@@ -106,7 +100,7 @@ def _norm_pruned_scan(
             if count > MAX_BALL_VECTORS:
                 raise NumericError(
                     f"norm-pruned scan ball of {count} vectors exceeds the "
-                    f"{MAX_BALL_VECTORS}-vector budget (L={L}, ring={ring.name.lower()}, "
+                    f"{MAX_BALL_VECTORS}-vector budget (L={L}, ring={ring.value}, "
                     f"phi={phi!r}); use prune='cost'"
                 )
         parts_x, parts_y, parts_n = [], [], []
@@ -129,7 +123,7 @@ def _norm_pruned_scan(
                 axis=1,
             )
             if last:
-                f = cost_batch(values_fn(x_new, y_new), M)
+                f = cost_batch(ring.values(x_new, y_new), M)
                 checked += f.size
                 i = int(np.argmin(f))
                 if f[i] < f_best:
@@ -146,7 +140,7 @@ def _norm_pruned_scan(
             if N.size > max_table_rows:
                 raise NumericError(
                     f"norm-pruned scan table of {N.size} prefixes exceeds the "
-                    f"{max_table_rows}-row budget (L={L}, ring={ring.name.lower()}, "
+                    f"{max_table_rows}-row budget (L={L}, ring={ring.value}, "
                     f"phi={phi!r}); use prune='cost'"
                 )
     assert best is not None  # the ball always contains unit vectors for phi >= 1
@@ -183,9 +177,9 @@ def exhaustive_search(
         x, y, _, checked = _norm_pruned_scan(M, phi, ring, max_table_rows)
     else:
         x, y, _, checked = cost_pruned_scan(M, ring, max_nodes)
-    values_fn = gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
-    f_min = float(cost_batch(values_fn(x, y)[None, :], M)[0])
-    a_opt = vector_from_arrays(*canonical(x, y, ring), ring)
+    x, y = canonical(x, y, ring)
+    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
+    a_opt = vector_from_arrays(x, y, ring)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,
@@ -273,7 +267,7 @@ def clll_search(M: np.ndarray, params: CLLLParams | None = None) -> SearchResult
     x = np.rint(U[i].real).astype(np.int64)
     y = np.rint(U[i].imag).astype(np.int64)
     a_opt = vector_from_arrays(x, y, Ring.GAUSSIAN)
-    f_min = float(cost_batch(gaussian_values(x, y)[None, :], M)[0])
+    f_min = float(cost_batch(Ring.GAUSSIAN.values(x, y)[None, :], M)[0])
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,
@@ -328,9 +322,7 @@ def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResu
     if mag_max is None and nonzero_mags.size:
         mag_max = (math.ceil(phi_bound(ch)) + 0.5) / float(nonzero_mags.min())
 
-    f_best = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    checked = 0
+    best = _BestTracker(M, Ring.GAUSSIAN)
     if nonzero_mags.size:
         n_mag = int(math.floor(mag_max / params.mag_step + 1e-9))
         mags = params.mag_step * np.arange(1, n_mag + 1)
@@ -340,31 +332,16 @@ def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResu
         step = max(1, SCAN_CHUNK_ROWS // ch.L)
         for lo in range(0, alphas.size, step):
             A = alphas[lo : lo + step, None] * ch.h[None, :]
-            x, y = quantize_gaussian_array(A)
-            keep = np.any((x != 0) | (y != 0), axis=1)
-            if not keep.any():
-                continue
-            x, y = x[keep], y[keep]
-            f = cost_batch(gaussian_values(x, y), M)
-            checked += f.size
-            i = int(np.argmin(f))
-            if f[i] < f_best:
-                f_best = float(f[i])
-                best = (x[i], y[i])
-
-    ux, uy, uf = best_unit(M)
-    checked += ch.L
-    if uf < f_best:
-        x, y, f_min = ux, uy, uf
-    else:
-        assert best is not None
-        (x, y), f_min = best, f_best
-    a_opt = vector_from_arrays(*canonical(x, y, Ring.GAUSSIAN), Ring.GAUSSIAN)
+            best.consider(*quantize_gaussian_array(A))
+    best.consider_units()
+    x, y = canonical(*best.coords, Ring.GAUSSIAN)
+    f_min = float(cost_batch(Ring.GAUSSIAN.values(x, y)[None, :], M)[0])
+    a_opt = vector_from_arrays(x, y, Ring.GAUSSIAN)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,
         rate=rate(ch, a_opt),
-        candidates_checked=checked,
+        candidates_checked=best.checked,
         elapsed_s=time.perf_counter() - t0,
         ring=Ring.GAUSSIAN,
     )

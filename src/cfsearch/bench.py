@@ -247,7 +247,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
                         snr_db=snr,
                         L=cfg.L,
                         k=cfg.k,
-                        ring=cfg.ring.name.lower(),
+                        ring=cfg.ring.value,
                         algorithm=alg,
                         avg_rate=float(np.mean([r for _, r, _, _ in rows])),
                         avg_f=float(np.mean([f for f, _, _, _ in rows])),
@@ -283,7 +283,7 @@ def _write_metadata(cfg: BenchConfig, path: str, workers: int) -> None:
     meta = {
         "config": {
             **{k: v for k, v in asdict(cfg).items() if k not in ("ring", "qes", "clll")},
-            "ring": cfg.ring.name.lower(),
+            "ring": cfg.ring.value,
             "qes": None if cfg.qes is None else asdict(cfg.qes),
             "clll": None if cfg.clll is None else asdict(cfg.clll),
         },
@@ -346,9 +346,10 @@ def load_config(path: str) -> BenchConfig:
             msg = f"config {path}: malformed value {raw[key]!r} for key {key!r}"
             raise InvalidInputError(msg) from e
 
-    ring_name = str(raw.get("ring", "gaussian")).upper()
-    if ring_name not in Ring.__members__:
-        raise InvalidInputError(f"unknown ring {raw['ring']!r}")
+    try:
+        ring = Ring(str(raw.get("ring", "gaussian")).lower())
+    except ValueError:
+        raise InvalidInputError(f"unknown ring {raw['ring']!r}") from None
     algorithms = raw.get("algorithms", ["optimal"])
     if isinstance(algorithms, str):
         algorithms = [a.strip() for a in algorithms.split(",") if a.strip()]
@@ -375,7 +376,7 @@ def load_config(path: str) -> BenchConfig:
         snr_db_list=field("snr_db_list", lambda v: np.atleast_1d(np.asarray(v, dtype=float)).tolist()),
         trials=field("trials", int),
         seed=field("seed", int),
-        ring=Ring[ring_name],
+        ring=ring,
         algorithms=tuple(algorithms),
         qes=qes,
         clll=clll,

@@ -41,8 +41,11 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
+RING_NAMES = tuple(r.value for r in Ring)
+
+
 def _parse_ring(name: str) -> Ring:
-    return Ring[name.upper()]
+    return Ring(name)
 
 
 def _channel_from_json(data) -> np.ndarray:
@@ -80,8 +83,8 @@ def _load_channel(args) -> np.ndarray:
 
 def _coefficient_json(res: SearchResult) -> dict:
     x, y = vector_coords(res.a_opt, res.ring)
-    # Eisenstein coordinates: value = a + b*w, w = -1/2 + sqrt(3)/2 j
-    labels = ["re", "im"] if res.ring is Ring.GAUSSIAN else ["a", "b"]
+    # the element's field names: (re, im), or (a, b) with value a + b*w
+    labels = [f.name for f in dataclasses.fields(res.a_opt[0])]
     values = [[v.real, v.imag] for v in vector_value(res.a_opt)]
     return {"a": np.stack([x, y], axis=1).tolist(), "a_coord_labels": labels, "a_values": values}
 
@@ -105,7 +108,7 @@ def _cmd_search(args) -> int:
     res, r = _run_single(args.algorithm, H, P, ring, args)
     out = {
         "algorithm": args.algorithm,
-        "ring": ring.name.lower(),
+        "ring": ring.value,
         "L": H.shape[1],
         "k": H.shape[0],
         "P": P,
@@ -183,7 +186,7 @@ def _cmd_selftest(args) -> int:
         ref = run_algorithm("exhaustive", chm, ring, M, phi, prune="norm")
         if abs(res.f_min - ref.f_min) > MATCH_RTOL * ref.f_min:
             failures += 1
-            print(f"MISMATCH ring={ring.name} snr={snr} k={k} H={chm.H.tolist()} "
+            print(f"MISMATCH ring={ring.value} snr={snr} k={k} H={chm.H.tolist()} "
                   f"f={res.f_min} ref={ref.f_min}")
     dt = time.perf_counter() - t0
     print(f"selftest: {len(cases) - failures}/{len(cases)} instances matched the oracle in {dt:.1f}s")
@@ -205,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     power = p_search.add_mutually_exclusive_group(required=True)
     power.add_argument("--P", type=float, help="transmit power (linear)")
     power.add_argument("--snr-db", type=float, help="SNR in dB; P = 10^(snr/10)")
-    p_search.add_argument("--ring", choices=("gaussian", "eisenstein"), default="gaussian")
+    p_search.add_argument("--ring", choices=RING_NAMES, default="gaussian")
     p_search.add_argument("--algorithm", choices=ALGORITHMS, default="optimal")
     p_search.add_argument("--prune", choices=("norm", "cost"), default="norm",
                           help="exhaustive search pruning mode")
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--snr-db", type=float, nargs="+", required=True)
     p_cmp.add_argument("--trials", type=int, default=100)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--ring", choices=("gaussian", "eisenstein"), default="gaussian")
+    p_cmp.add_argument("--ring", choices=RING_NAMES, default="gaussian")
     p_cmp.add_argument("--output", help="also write the records as CSV")
     p_cmp.set_defaults(func=_cmd_compare)
 

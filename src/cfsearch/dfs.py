@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .rings import SQRT3, Ring
+from .rings import Ring
 
 #: Hard ceiling on nodes expanded by the cost-pruned depth-first scan.  A
 #: node is one accepted value of a complex component (an even real level).
@@ -73,8 +73,7 @@ def cost_pruned_scan(
         max_nodes = MAX_DFS_NODES
     L = M.shape[0]
     n = 2 * L
-    omega = 1j if ring is Ring.GAUSSIAN else complex(-0.5, SQRT3 / 2.0)
-    B = np.kron(np.eye(L), np.array([[1.0], [omega]]))
+    B = np.kron(np.eye(L), np.array([[1.0], [ring.omega]]))
     C = np.linalg.cholesky((B @ M @ B.conj().T).real)
     cdiag = C.diagonal()
     r2 = (cdiag * cdiag).tolist()
@@ -107,7 +106,7 @@ def cost_pruned_scan(
                 if nodes > max_nodes:
                     raise NumericError(
                         f"cost-pruned scan exceeded the {max_nodes}-node budget "
-                        f"(L={L}, ring={ring.name.lower()}, nodes={nodes}, "
+                        f"(L={L}, ring={ring.value}, nodes={nodes}, "
                         f"incumbent f={f_best!r})"
                     )
             if k:

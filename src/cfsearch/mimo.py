@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dfs import best_unit, cost_pruned_scan
+from .dfs import cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import (
     ChannelMatrix,
@@ -41,13 +41,11 @@ from .model import (
     mimo_rate,
     replay_args,
 )
-from .optimal import DiscontinuitySet, gen_disc
+from .optimal import DiscontinuitySet, _BestTracker, gen_disc
 from .rings import (
     CoefficientVector,
     Ring,
     canonical,
-    eisenstein_values,
-    gaussian_values,
     quantize_eisenstein_array,
     quantize_gaussian_array,
     vector_from_arrays,
@@ -80,10 +78,6 @@ def _quantize_coords(A: np.ndarray, ring: Ring) -> tuple[np.ndarray, np.ndarray]
     if ring is Ring.GAUSSIAN:
         return quantize_gaussian_array(A)
     return quantize_eisenstein_array(A)
-
-
-def _values_fn(ring: Ring):
-    return gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
 
 
 def vertex_candidates(
@@ -125,33 +119,20 @@ class _TupleScan:
     binary search.  The enumeration order (prefix-major over sorted indices,
     fixed chunk size) is deterministic, and shrinking the budget between
     chunks never discards a candidate that could still improve the incumbent.
+    Candidates go to the shared running minimum `best`.
     """
 
-    def __init__(self, points: np.ndarray, q: np.ndarray, M: np.ndarray, ring: Ring):
+    def __init__(self, points: np.ndarray, q: np.ndarray, best: _BestTracker):
         order = np.argsort(q, kind="stable")
         self.points = points[order]
         self.q = q[order].astype(np.float64)
-        self.M = M
-        self.ring = ring
-        self.f_best = np.inf
-        self.best: tuple[np.ndarray, np.ndarray] | None = None
-        self.checked = 0
+        self.best = best
 
     def _evaluate(self, idx: np.ndarray, T: np.ndarray, tau_arr: np.ndarray) -> None:
         C = self.points[idx]
         A = C @ T
         A[:, tau_arr] = C
-        x, y = _quantize_coords(A, self.ring)
-        keep = np.any((x != 0) | (y != 0), axis=1)
-        if not keep.any():
-            return
-        x, y = x[keep], y[keep]
-        f = cost_batch(_values_fn(self.ring)(x, y), self.M)
-        self.checked += f.size
-        i = int(np.argmin(f))
-        if f[i] < self.f_best:
-            self.f_best = float(f[i])
-            self.best = (x[i], y[i])
+        self.best.consider(*_quantize_coords(A, self.best.ring))
 
     def scan_subset(self, T: np.ndarray, tau_arr: np.ndarray, k: int, budget_cap: float) -> None:
         idx = np.empty((1, 0), np.int64)
@@ -162,7 +143,7 @@ class _TupleScan:
             parts_s: list[np.ndarray] = []
             pos = 0
             while pos < ssum.size:
-                budget = self.f_best * budget_cap
+                budget = self.best.f * budget_cap
                 counts = np.searchsorted(self.q, budget - ssum[pos:], side="right")
                 cum = np.cumsum(counts)
                 end = pos + max(1, int(np.searchsorted(cum, TUPLE_CHUNK_ROWS, side="right")))
@@ -188,7 +169,7 @@ class _TupleScan:
                     raise NumericError(
                         f"tuple prefix table of {ssum.size} rows exceeds the "
                         f"{MAX_PREFIX_ROWS}-row budget (L={T.shape[1]}, k={k}, "
-                        f"ring={self.ring.name.lower()}, columns={tuple(tau_arr.tolist())})"
+                        f"ring={self.best.ring.value}, columns={tuple(tau_arr.tolist())})"
                     )
 
 
@@ -211,16 +192,10 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
     M = mimo_gram(ch)
     phi = mimo_phi(ch)
     psi = gen_disc(phi, ring)
-    x0, y0 = _quantize_coords(psi.points, ring)
-    if ring is Ring.GAUSSIAN:
-        q = (x0 * x0 + y0 * y0).astype(np.float64)
-    else:
-        q = (x0 * x0 - x0 * y0 + y0 * y0).astype(np.float64)
-
-    scan = _TupleScan(psi.points, q, M, ring)
-    ux, uy, unit_f = best_unit(M)
-    scan.checked += ch.L
-    scan.f_best = unit_f
+    best = _BestTracker(M, ring)
+    best.consider_units()
+    q = ring.norm(*_quantize_coords(psi.points, ring))  # marked points' quantized squared norms
+    scan = _TupleScan(psi.points, q, best)
 
     budget_cap = phi * phi * (1.0 + BUDGET_SLACK)
     skipped = 0
@@ -232,30 +207,25 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
         T = np.linalg.solve(H_tau, ch.H)
         scan.scan_subset(T, np.asarray(tau), ch.k, budget_cap)
 
-    if scan.best is None or unit_f <= scan.f_best:
-        x, y, f_min = ux, uy, unit_f
-    else:
-        (x, y), f_min = scan.best, scan.f_best
-
-    # certification: replace the incumbent only if something cheaper exists
+    # certification returns the incumbent unless something strictly cheaper exists
     try:
-        cx, cy, cf, nodes = cost_pruned_scan(M, ring, seed=(x, y, f_min))
+        x, y, _, nodes = cost_pruned_scan(M, ring, seed=(*best.coords, best.f))
     except NumericError as e:
         raise NumericError(
             f"{e} while certifying; replay with "
             f"cfsearch search {replay_args(ch.H, ch.P, ring, 'mimo-optimal')}"
         ) from e
-    scan.checked += nodes
-    if cf < f_min:
-        x, y = cx, cy
-        f_min = float(cost_batch(_values_fn(ring)(cx, cy)[None, :], M)[0])
+    best.checked += nodes
 
-    a_opt = vector_from_arrays(*canonical(x, y, ring), ring)
+    # price the vector returned: unit multiples agree in cost only up to rounding
+    x, y = canonical(x, y, ring)
+    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
+    a_opt = vector_from_arrays(x, y, ring)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,
         rate=mimo_rate(ch, a_opt, b_opt(ch, a_opt)),
-        candidates_checked=scan.checked,
+        candidates_checked=best.checked,
         elapsed_s=time.perf_counter() - t0,
         ring=ring,
         subsets_skipped=skipped,

@@ -122,8 +122,9 @@ class ChannelMatrix:
 class SearchResult:
     """Outcome of a coefficient search.
 
-    `f_min` is the minimized quadratic form value; `rate` is the achievable
-    rate for `a_opt` (None for Gram-matrix-only searches, which have no
+    `f_min` is the minimized quadratic form value, priced with `cost_batch`
+    on the returned `a_opt` itself; `rate` is the achievable rate for
+    `a_opt` (None for Gram-matrix-only searches, which have no
     channel context to derive a rate from); `candidates_checked` counts the
     search's work: for the exact searches and `qes_search` the sampled cost
     evaluations, plus L unit candidates (one diagonal entry per component,

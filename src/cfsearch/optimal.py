@@ -62,8 +62,6 @@ from .rings import (
     SQRT3,
     Ring,
     canonical,
-    eisenstein_values,
-    gaussian_values,
     quantize_eisenstein_array,
     quantize_gaussian_array,
     vector_from_arrays,
@@ -232,25 +230,44 @@ def _eisenstein_coords_from_values(v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class _BestTracker:
-    """Running strict-< minimum over candidate blocks of integer coordinates."""
+    """Running strict-< minimum over candidate blocks of integer coordinates.
 
-    def __init__(self, M: np.ndarray):
+    The one incumbent of the sampling scans in `search_optimal`,
+    `search_optimal_mimo` and `qes_search`: a block's all-zero rows are
+    dropped, the rest priced with `cost_batch`, and only a strictly cheaper
+    candidate replaces the incumbent, so ties keep the earliest one.
+    `checked` counts the candidates priced.
+    """
+
+    def __init__(self, M: np.ndarray, ring: Ring):
         self.M = M
+        self.ring = ring
         self.f = np.inf
         self.coords: tuple[np.ndarray, np.ndarray] | None = None
         self.checked = 0
 
-    def consider(self, x: np.ndarray, y: np.ndarray, values_fn) -> None:
+    def consider(self, x: np.ndarray, y: np.ndarray) -> None:
         keep = np.any((x != 0) | (y != 0), axis=1)
-        if not keep.any():
-            return
-        x, y = x[keep], y[keep]
-        f = cost_batch(values_fn(x, y), self.M)
+        # most blocks hold no zero row: skip the copy while the caller still
+        # holds the block, which would otherwise raise the peak allocation
+        if not keep.all():
+            if not keep.any():
+                return
+            x, y = x[keep], y[keep]
+        f = cost_batch(self.ring.values(x, y), self.M)
         self.checked += f.size
         i = int(np.argmin(f))
         if f[i] < self.f:
             self.f = float(f[i])
             self.coords = (x[i], y[i])
+
+    def consider_units(self) -> None:
+        """Offer the cheapest unit vector (`best_unit`), counted as L candidates."""
+        x, y, f = best_unit(self.M)
+        self.checked += self.M.shape[0]
+        if f < self.f:
+            self.f = f
+            self.coords = (x, y)
 
 
 def search_optimal(
@@ -300,8 +317,7 @@ def search_optimal(
     aset = gen_alpha_set(
         psi, ch, quadrant_reduce=quadrant_reduce, sector_reduce=sector_reduce
     )
-    values_fn = gaussian_values if ring is Ring.GAUSSIAN else eisenstein_values
-    best = _BestTracker(M)
+    best = _BestTracker(M, ring)
 
     if not aset.units_only:
         for l in np.unique(aset.component):
@@ -313,7 +329,7 @@ def search_optimal(
                 x, y = quantize_gaussian_array(A)
             else:
                 x, y = quantize_eisenstein_array(A)
-            best.consider(x, y, values_fn)
+            best.consider(x, y)
             if quadrant_reduce:
                 re_half = np.mod(phis.real, 1.0) == 0.5
                 im_half = np.mod(phis.imag, 1.0) == 0.5
@@ -326,39 +342,32 @@ def search_optimal(
                         xv, yv = x[mask].copy(), y[mask].copy()
                         xv[:, l] -= dx
                         yv[:, l] -= dy
-                        best.consider(xv, yv, values_fn)
+                        best.consider(xv, yv)
             if sector_reduce:
                 # mirrored endpoint of the bisected nearest-neighbor pair
-                mirrored = 2.0 * phis - values_fn(x[:, l], y[:, l])
+                mirrored = 2.0 * phis - ring.values(x[:, l], y[:, l])
                 ma, mb = _eisenstein_coords_from_values(mirrored)
                 xv, yv = x.copy(), y.copy()
                 xv[:, l] = ma
                 yv[:, l] = mb
-                best.consider(xv, yv, values_fn)
+                best.consider(xv, yv)
 
-    # unit vectors, strict improvement only
-    ux, uy, uf = best_unit(M)
-    best.checked += ch.L
-    if uf < best.f:
-        x, y, f_min = ux, uy, uf
-    else:
-        assert best.coords is not None
-        (x, y), f_min = best.coords, best.f
+    best.consider_units()
 
-    # certification: replace the incumbent only if something cheaper exists
+    # certification returns the incumbent unless something strictly cheaper exists
     try:
-        cx, cy, cf, nodes = cost_pruned_scan(M, ring, seed=(x, y, f_min))
+        x, y, _, nodes = cost_pruned_scan(M, ring, seed=(*best.coords, best.f))
     except NumericError as e:
         raise NumericError(
             f"{e} while certifying; replay with "
             f"cfsearch search {replay_args(ch.h, ch.P, ring, 'optimal')}"
         ) from e
     best.checked += nodes
-    if cf < f_min:
-        x, y = cx, cy
-        f_min = float(cost_batch(values_fn(cx, cy)[None, :], M)[0])
 
-    a_opt = vector_from_arrays(*canonical(x, y, ring), ring)
+    # price the vector returned: unit multiples agree in cost only up to rounding
+    x, y = canonical(x, y, ring)
+    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
+    a_opt = vector_from_arrays(x, y, ring)
     return SearchResult(
         a_opt=a_opt,
         f_min=f_min,

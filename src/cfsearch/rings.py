@@ -32,10 +32,31 @@ TIE_DETECT_RTOL = 1e-12
 
 
 class Ring(Enum):
-    """Integer ring used for coefficient vectors."""
+    """Integer ring used for coefficient vectors.
+
+    An element with integer coordinates (x, y) is x + y*omega, where omega
+    is i (Gaussian) or -1/2 + i*sqrt(3)/2 (Eisenstein).  `values` and `norm`
+    take coordinate arrays of any shape.
+    """
 
     GAUSSIAN = "gaussian"
     EISENSTEIN = "eisenstein"
+
+    @property
+    def omega(self) -> complex:
+        """The generator omega of the ring over the integers."""
+        return 1j if self is Ring.GAUSSIAN else complex(-0.5, SQRT3 / 2.0)
+
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Complex values x + y*omega (`gaussian_values` or `eisenstein_values`)."""
+        if self is Ring.GAUSSIAN:
+            return gaussian_values(x, y)
+        return eisenstein_values(x, y)
+
+    def norm(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Squared moduli |x + y*omega|^2, exact in integer arithmetic."""
+        n = x * x + y * y
+        return n if self is Ring.GAUSSIAN else n - x * y
 
 
 @dataclass(frozen=True)

@@ -272,3 +272,9 @@ class TestLoadConfig:
         path.write_text("L = 2\nsnr_db_list = [0]\ntrials = 1\nseed = 1\nring = octonion\n")
         with pytest.raises(InvalidInputError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("name", ["eisenstein", "Eisenstein", "EISENSTEIN"])
+    def test_ring_name_is_case_insensitive(self, tmp_path, name):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"L = 2\nsnr_db_list = [0]\ntrials = 1\nseed = 1\nring = {name}\n")
+        assert load_config(str(path)).ring is Ring.EISENSTEIN

@@ -277,3 +277,46 @@ class TestVectors:
     def test_quantize_dispatch(self):
         assert quantize(1.2 - 0.4j, Ring.GAUSSIAN) == GaussianInt(1, 0)
         assert quantize(1.2 - 0.4j, Ring.EISENSTEIN) == EisensteinInt(1, 0)
+
+
+ring_coords = st.lists(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)), min_size=1, max_size=8
+)
+
+
+class TestRingMembers:
+    def test_omega(self):
+        assert Ring.GAUSSIAN.omega == 1j
+        assert Ring.EISENSTEIN.omega == complex(-0.5, SQRT3 / 2.0)
+        assert abs(Ring.EISENSTEIN.omega ** 3 - 1) < 1e-15
+
+    @given(ring_coords)
+    @settings(max_examples=100, deadline=None)
+    def test_values_are_the_module_functions_bit_for_bit(self, pairs):
+        x = np.array([p[0] for p in pairs], np.int64)
+        y = np.array([p[1] for p in pairs], np.int64)
+        for ring, fn in ((Ring.GAUSSIAN, gaussian_values), (Ring.EISENSTEIN, eisenstein_values)):
+            assert ring.values(x, y).tobytes() == fn(x, y).tobytes()
+            # two-dimensional blocks, as the sampling scans pass them
+            assert ring.values(x[None, :], y[None, :]).tobytes() == fn(x[None, :], y[None, :]).tobytes()
+
+    @given(ring_coords)
+    @settings(max_examples=100, deadline=None)
+    def test_values_are_x_plus_omega_y(self, pairs):
+        x = np.array([p[0] for p in pairs], np.int64)
+        y = np.array([p[1] for p in pairs], np.int64)
+        for ring in Ring:
+            want = x + ring.omega * y
+            assert np.all(np.abs(ring.values(x, y) - want) <= 1e-15 * np.abs(want))
+
+    @given(ring_coords)
+    @settings(max_examples=100, deadline=None)
+    def test_norm_is_the_exact_squared_modulus(self, pairs):
+        x = np.array([p[0] for p in pairs], np.int64)
+        y = np.array([p[1] for p in pairs], np.int64)
+        for ring in Ring:
+            n = ring.norm(x, y)
+            assert n.dtype == np.int64
+            elements = vector_from_arrays(x, y, ring)
+            assert n.tolist() == [e.abs2 for e in elements]
+            assert n.tolist() == np.round(np.abs(ring.values(x, y)) ** 2).astype(np.int64).tolist()

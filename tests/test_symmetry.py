@@ -241,3 +241,42 @@ def test_unit_phase_counts_one_candidate_per_component():
             res = search_optimal(ChannelVector(np.zeros(L, complex), 3.0), ring)
             nodes = exhaustive_search(np.eye(L), 2.0, ring, prune="cost").candidates_checked
             assert res.candidates_checked == L + nodes
+
+
+def cost_of(res, M) -> float:
+    x, y = vector_coords(res.a_opt, res.ring)
+    return float(cost_batch(res.ring.values(x, y)[None, :], M)[0])
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_zero_channel_reports_the_cost_of_the_returned_unit_vector(L):
+    # certification over Z[w] meets a rotated unit a few ulp below 1; the
+    # canonical vector returned is e_1, whose cost is exactly 1
+    e1 = vector_from_arrays(np.eye(L, dtype=np.int64)[0], np.zeros(L, np.int64), Ring.EISENSTEIN)
+    for res in (
+        search_optimal(ChannelVector(np.zeros(L, complex), 10.0), Ring.EISENSTEIN),
+        search_optimal_mimo(ChannelMatrix(np.zeros((2, L), complex), 10.0), Ring.EISENSTEIN),
+    ):
+        assert res.a_opt == e1
+        assert res.f_min == 1.0
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+def test_f_min_is_the_cost_of_the_returned_vector(ring):
+    rng = np.random.default_rng(660016 + (ring is Ring.EISENSTEIN))
+    for L in (2, 3, 4):
+        for snr in (0, 10, 20):
+            for _ in range(4):
+                chm = gen_channel(L, 1, rng, 10.0 ** (snr / 10.0))
+                ch = chm.row_vector()
+                M, phi = cost_matrix(ch), phi_bound(ch)
+                results = [search_optimal(ch, ring), exhaustive_search(M, phi, ring, prune="cost")]
+                if L == 2 or snr == 0:
+                    results.append(exhaustive_search(M, phi, ring, prune="norm"))
+                if ring is Ring.GAUSSIAN:
+                    results.append(qes_search(ch))
+                for res in results:
+                    assert res.f_min == cost_of(res, M)
+                chm2 = gen_channel(L, 2, rng, 10.0 ** (snr / 10.0))
+                res = search_optimal_mimo(chm2, ring)
+                assert res.f_min == cost_of(res, mimo_gram(chm2))
