@@ -16,6 +16,11 @@ Cholesky factor once and is updated in place on each size reduction and
 swap (Gan, Ling & Mow, IEEE T-SP 2009), never recomputed.  `qes_search`
 quantizes a polar grid of scalings of the channel vector and is the natural
 discretized baseline for the exact discontinuity search.
+
+`exhaustive_search` and `qes_search` end like the exact searches, in
+`optimal._search_result`: the `canonical` member of the minimizer's unit
+orbit, with `f_min` priced on that vector.  `clll_search` returns its raw
+transform row.
 """
 
 from __future__ import annotations
@@ -26,18 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfs import MAX_DFS_NODES, cost_pruned_scan
+from .dfs import cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import ChannelVector, SearchResult, check_cost_matrix, cost_batch, cost_matrix, phi_bound, rate
-from .optimal import _BestTracker
-from .rings import (
-    SQRT3,
-    Ring,
-    canonical,
-    quantize_gaussian,
-    quantize_gaussian_array,
-    vector_from_arrays,
-)
+from .optimal import _BestTracker, _search_result
+from .rings import SQRT3, Ring, quantize_gaussian, quantize_gaussian_array, vector_from_arrays
 
 #: Rows processed per vectorized block in the full-ball and polar-grid scans.
 SCAN_CHUNK_ROWS = 1 << 19
@@ -67,16 +65,15 @@ def _component_candidates(ring: Ring, phi2: float) -> tuple[np.ndarray, np.ndarr
     return x[order], y[order], n[order]
 
 
-def _norm_pruned_scan(
-    M: np.ndarray, phi: float, ring: Ring, max_table_rows: int
-) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _norm_pruned_scan(M: np.ndarray, phi: float, ring: Ring) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Full scan of nonzero ring vectors with ||a||^2 <= phi^2.
 
     Grows the candidate table one component at a time, pruning prefixes by
     accumulated squared norm, and folds the final component into a chunked
     cost evaluation.  Returns winning coordinates, the minimum cost, and the
-    number of complete vectors evaluated.  Raises NumericError before any
-    evaluation when the ball holds more than `MAX_BALL_VECTORS` of them.
+    number of complete vectors evaluated.  Raises NumericError once the
+    prefix table exceeds `MAX_TABLE_ROWS` rows, and before any evaluation
+    when the ball holds more than `MAX_BALL_VECTORS` complete vectors.
     """
     L = M.shape[0]
     phi2 = phi * phi
@@ -137,25 +134,17 @@ def _norm_pruned_scan(
             X = np.concatenate(parts_x) if parts_x else np.empty((0, comp + 1), np.int64)
             Y = np.concatenate(parts_y) if parts_y else np.empty((0, comp + 1), np.int64)
             N = np.concatenate(parts_n) if parts_n else np.empty(0, np.int64)
-            if N.size > max_table_rows:
+            if N.size > MAX_TABLE_ROWS:
                 raise NumericError(
                     f"norm-pruned scan table of {N.size} prefixes exceeds the "
-                    f"{max_table_rows}-row budget (L={L}, ring={ring.value}, "
+                    f"{MAX_TABLE_ROWS}-row budget (L={L}, ring={ring.value}, "
                     f"phi={phi!r}); use prune='cost'"
                 )
     assert best is not None  # the ball always contains unit vectors for phi >= 1
     return best[0], best[1], f_best, checked
 
 
-def exhaustive_search(
-    M: np.ndarray,
-    phi: float,
-    ring: Ring,
-    prune: str = "norm",
-    *,
-    max_table_rows: int = MAX_TABLE_ROWS,
-    max_nodes: int = MAX_DFS_NODES,
-) -> SearchResult:
+def exhaustive_search(M: np.ndarray, phi: float, ring: Ring, prune: str = "norm") -> SearchResult:
     """Minimize a M a^H over nonzero ring vectors with ||a|| <= phi.
 
     `prune="norm"` scans the entire ball (work grows like phi^(2L));
@@ -165,7 +154,8 @@ def exhaustive_search(
     the quadratic form always lies in the ball when phi^2 is an upper bound
     on the unit-vector cost, which holds for the Gram matrices produced by
     `cost_matrix` and `mimo_gram`.  Returns `rate=None`: a Gram matrix alone
-    carries no channel context.
+    carries no channel context.  The work budgets (`MAX_TABLE_ROWS` and
+    `MAX_BALL_VECTORS` here, `dfs.MAX_DFS_NODES`) are read at call time.
     """
     M = check_cost_matrix(M)
     if not (np.isfinite(phi) and phi >= 1.0):
@@ -174,20 +164,10 @@ def exhaustive_search(
         raise InvalidInputError(f"prune must be 'norm' or 'cost', got {prune!r}")
     t0 = time.perf_counter()
     if prune == "norm":
-        x, y, _, checked = _norm_pruned_scan(M, phi, ring, max_table_rows)
+        x, y, _, checked = _norm_pruned_scan(M, phi, ring)
     else:
-        x, y, _, checked = cost_pruned_scan(M, ring, max_nodes)
-    x, y = canonical(x, y, ring)
-    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
-    a_opt = vector_from_arrays(x, y, ring)
-    return SearchResult(
-        a_opt=a_opt,
-        f_min=f_min,
-        rate=None,
-        candidates_checked=checked,
-        elapsed_s=time.perf_counter() - t0,
-        ring=ring,
-    )
+        x, y, _, checked = cost_pruned_scan(M, ring)
+    return _search_result(x, y, M, ring, checked, t0)
 
 
 @dataclass(frozen=True)
@@ -334,14 +314,4 @@ def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResu
             A = alphas[lo : lo + step, None] * ch.h[None, :]
             best.consider(*quantize_gaussian_array(A))
     best.consider_units()
-    x, y = canonical(*best.coords, Ring.GAUSSIAN)
-    f_min = float(cost_batch(Ring.GAUSSIAN.values(x, y)[None, :], M)[0])
-    a_opt = vector_from_arrays(x, y, Ring.GAUSSIAN)
-    return SearchResult(
-        a_opt=a_opt,
-        f_min=f_min,
-        rate=rate(ch, a_opt),
-        candidates_checked=best.checked,
-        elapsed_s=time.perf_counter() - t0,
-        ring=Ring.GAUSSIAN,
-    )
+    return _search_result(*best.coords, M, Ring.GAUSSIAN, best.checked, t0, lambda a: rate(ch, a))

@@ -56,7 +56,6 @@ def best_unit(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def cost_pruned_scan(
     M: np.ndarray,
     ring: Ring,
-    max_nodes: int | None = None,
     seed: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Depth-first scan with partial-cost pruning; exact same minimum as a ball scan.
@@ -66,11 +65,10 @@ def cost_pruned_scan(
     optimal.  Without a seed the incumbent starts at `best_unit(M)`.
 
     Returns (x, y, f_best, nodes expanded).  Raises NumericError naming the
-    instance once more than `max_nodes` nodes are expanded (default
-    `MAX_DFS_NODES`, read at call time).
+    instance once more than `MAX_DFS_NODES` nodes are expanded (read at
+    call time).
     """
-    if max_nodes is None:
-        max_nodes = MAX_DFS_NODES
+    max_nodes = MAX_DFS_NODES  # a local, as the loop reads it once per node
     L = M.shape[0]
     n = 2 * L
     B = np.kron(np.eye(L), np.array([[1.0], [ring.omega]]))

@@ -11,7 +11,10 @@ a vanishing fraction of channels; as in the single-antenna search, a region
 of constant quantization whose boundary contains no marked-tuple image is
 never sampled, so the search finishes with a certification phase (a
 cost-pruned depth-first scan seeded with the sampling incumbent) that makes
-the returned minimum exact by construction.
+the returned minimum exact by construction.  Sampling is all that is
+particular to this search: the running minimum, the certification and the
+result built on the canonical vector are `optimal`'s, shared with the
+single-antenna search.
 
 The scan prunes tuples with a norm argument: the smallest eigenvalue of the
 Gram matrix is 1/Phi^2, and the components of a on tau equal the quantized
@@ -29,23 +32,16 @@ from typing import Iterator
 
 import numpy as np
 
+# the search prices and certifies through `optimal`, so `cost_batch` and
+# `cost_pruned_scan` are not called here; perfbench/tracing.py wraps both
+# under this module's name, so they stay imported until it is retargeted
 from .dfs import cost_pruned_scan
 from .errors import InvalidInputError, NumericError
-from .model import (
-    ChannelMatrix,
-    SearchResult,
-    b_opt,
-    cost_batch,
-    mimo_gram,
-    mimo_phi,
-    mimo_rate,
-    replay_args,
-)
-from .optimal import DiscontinuitySet, _BestTracker, gen_disc
+from .model import ChannelMatrix, SearchResult, b_opt, cost_batch, mimo_gram, mimo_phi, mimo_rate
+from .optimal import DiscontinuitySet, _BestTracker, _search_result, gen_disc
 from .rings import (
     CoefficientVector,
     Ring,
-    canonical,
     quantize_eisenstein_array,
     quantize_gaussian_array,
     vector_from_arrays,
@@ -207,26 +203,8 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
         T = np.linalg.solve(H_tau, ch.H)
         scan.scan_subset(T, np.asarray(tau), ch.k, budget_cap)
 
-    # certification returns the incumbent unless something strictly cheaper exists
-    try:
-        x, y, _, nodes = cost_pruned_scan(M, ring, seed=(*best.coords, best.f))
-    except NumericError as e:
-        raise NumericError(
-            f"{e} while certifying; replay with "
-            f"cfsearch search {replay_args(ch.H, ch.P, ring, 'mimo-optimal')}"
-        ) from e
-    best.checked += nodes
-
-    # price the vector returned: unit multiples agree in cost only up to rounding
-    x, y = canonical(x, y, ring)
-    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
-    a_opt = vector_from_arrays(x, y, ring)
-    return SearchResult(
-        a_opt=a_opt,
-        f_min=f_min,
-        rate=mimo_rate(ch, a_opt, b_opt(ch, a_opt)),
-        candidates_checked=best.checked,
-        elapsed_s=time.perf_counter() - t0,
-        ring=ring,
-        subsets_skipped=skipped,
+    best.certify(ch.H, ch.P, "mimo-optimal")
+    return _search_result(
+        *best.coords, M, ring, best.checked, t0,
+        lambda a: mimo_rate(ch, a, b_opt(ch, a)), subsets_skipped=skipped,
     )

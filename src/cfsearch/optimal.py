@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .model import (
 )
 from .rings import (
     SQRT3,
+    CoefficientVector,
     Ring,
     canonical,
     quantize_eisenstein_array,
@@ -236,7 +238,7 @@ class _BestTracker:
     `search_optimal_mimo` and `qes_search`: a block's all-zero rows are
     dropped, the rest priced with `cost_batch`, and only a strictly cheaper
     candidate replaces the incumbent, so ties keep the earliest one.
-    `checked` counts the candidates priced.
+    `checked` counts the candidates priced, plus the certification nodes.
     """
 
     def __init__(self, M: np.ndarray, ring: Ring):
@@ -269,6 +271,55 @@ class _BestTracker:
             self.f = f
             self.coords = (x, y)
 
+    def certify(self, H: np.ndarray, P: float, algorithm: str) -> None:
+        """Adopt the answer of a `cost_pruned_scan` seeded with the incumbent.
+
+        The scan returns the seed unless a strictly cheaper vector exists
+        (see the module docstring for why sampling alone can rarely miss
+        one); its nodes count as checked.  A budget error is re-raised with
+        the `cfsearch search` arguments that replay channel `H` at power `P`.
+        """
+        try:  # `seed` by keyword: perfbench's tracer reads it to count certifications
+            x, y, self.f, nodes = cost_pruned_scan(self.M, self.ring, seed=(*self.coords, self.f))
+        except NumericError as e:
+            raise NumericError(
+                f"{e} while certifying; replay with "
+                f"cfsearch search {replay_args(H, P, self.ring, algorithm)}"
+            ) from e
+        self.coords = (x, y)
+        self.checked += nodes
+
+
+def _search_result(
+    x: np.ndarray,
+    y: np.ndarray,
+    M: np.ndarray,
+    ring: Ring,
+    checked: int,
+    t0: float,
+    rate_of: Callable[[CoefficientVector], float] | None = None,
+    **extra,
+) -> SearchResult:
+    """The `SearchResult` for a minimizer's coordinates, timed from `t0`.
+
+    The vector returned is the `canonical` member of the unit orbit of
+    (x, y), and `f_min` is priced on that vector: unit multiples agree in
+    cost only up to rounding.  `rate_of(a_opt)` gives the rate (None
+    without channel context); `extra` holds further `SearchResult` fields.
+    """
+    x, y = canonical(x, y, ring)
+    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
+    a_opt = vector_from_arrays(x, y, ring)
+    return SearchResult(
+        a_opt=a_opt,
+        f_min=f_min,
+        rate=None if rate_of is None else rate_of(a_opt),
+        candidates_checked=checked,
+        elapsed_s=time.perf_counter() - t0,
+        ring=ring,
+        **extra,
+    )
+
 
 def search_optimal(
     ch: ChannelVector,
@@ -294,23 +345,13 @@ def search_optimal(
 
     `quadrant_reduce=None` and `sector_reduce=None` apply the ring default:
     one unit sector of marked points, a quarter for Gaussian and a sixth for
-    Eisenstein.  Passing False scans every marked point; each flag is
-    rejected for the other ring.  A certification budget error is re-raised
-    with the `cfsearch search` arguments that replay the instance.
+    Eisenstein.  Passing False scans every marked point; `gen_alpha_set`
+    rejects each flag for the other ring.  A certification budget error is
+    re-raised with the `cfsearch search` arguments that replay the instance.
     """
-    if ring is Ring.GAUSSIAN:
-        if sector_reduce:
-            raise InvalidInputError("sector reduction applies to the Eisenstein ring only")
-        if quadrant_reduce is None:
-            quadrant_reduce = True
-        sector_reduce = False
-    else:
-        if quadrant_reduce:
-            raise InvalidInputError("quadrant reduction applies to the Gaussian ring only")
-        quadrant_reduce = False
-        if sector_reduce is None:
-            sector_reduce = True
-
+    gaussian = ring is Ring.GAUSSIAN
+    quadrant_reduce = gaussian if quadrant_reduce is None else quadrant_reduce
+    sector_reduce = (not gaussian) if sector_reduce is None else sector_reduce
     t0 = time.perf_counter()
     M = cost_matrix(ch)
     psi = gen_disc(phi_bound(ch), ring)
@@ -325,7 +366,7 @@ def search_optimal(
             phis = aset.phis[sel]
             A = aset.alphas[sel][:, None] * ch.h[None, :]
             A[:, l] = phis  # the active component sits exactly on the boundary
-            if ring is Ring.GAUSSIAN:
+            if gaussian:
                 x, y = quantize_gaussian_array(A)
             else:
                 x, y = quantize_eisenstein_array(A)
@@ -353,26 +394,5 @@ def search_optimal(
                 best.consider(xv, yv)
 
     best.consider_units()
-
-    # certification returns the incumbent unless something strictly cheaper exists
-    try:
-        x, y, _, nodes = cost_pruned_scan(M, ring, seed=(*best.coords, best.f))
-    except NumericError as e:
-        raise NumericError(
-            f"{e} while certifying; replay with "
-            f"cfsearch search {replay_args(ch.h, ch.P, ring, 'optimal')}"
-        ) from e
-    best.checked += nodes
-
-    # price the vector returned: unit multiples agree in cost only up to rounding
-    x, y = canonical(x, y, ring)
-    f_min = float(cost_batch(ring.values(x, y)[None, :], M)[0])
-    a_opt = vector_from_arrays(x, y, ring)
-    return SearchResult(
-        a_opt=a_opt,
-        f_min=f_min,
-        rate=rate(ch, a_opt),
-        candidates_checked=best.checked,
-        elapsed_s=time.perf_counter() - t0,
-        ring=ring,
-    )
+    best.certify(ch.h, ch.P, "optimal")
+    return _search_result(*best.coords, M, ring, best.checked, t0, lambda a: rate(ch, a))

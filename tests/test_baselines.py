@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cfsearch import baselines, dfs
 from cfsearch.baselines import (
     CLLLParams,
     QesParams,
@@ -74,27 +75,28 @@ class TestExhaustiveSearch:
         with pytest.raises(InvalidInputError):
             exhaustive_search(np.ones((2, 3)), 1.5, Ring.GAUSSIAN)
 
-    def test_table_cap_raises(self):
+    def test_table_cap_raises(self, monkeypatch):
         M = cost_matrix(ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0))
+        monkeypatch.setattr(baselines, "MAX_TABLE_ROWS", 10)
         with pytest.raises(NumericError):
             exhaustive_search(M, phi_bound(ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)),
-                              Ring.GAUSSIAN, prune="norm", max_table_rows=10)
+                              Ring.GAUSSIAN, prune="norm")
 
-    def test_table_cap_error_names_the_instance(self):
+    def test_table_cap_error_names_the_instance(self, monkeypatch):
         ch = ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)
+        monkeypatch.setattr(baselines, "MAX_TABLE_ROWS", 10)
         with pytest.raises(NumericError) as info:
-            exhaustive_search(cost_matrix(ch), phi_bound(ch), Ring.GAUSSIAN,
-                              prune="norm", max_table_rows=10)
+            exhaustive_search(cost_matrix(ch), phi_bound(ch), Ring.GAUSSIAN, prune="norm")
         msg = str(info.value)
         assert "10-row budget" in msg
         assert "L=3" in msg and "ring=gaussian" in msg
         assert f"phi={phi_bound(ch)!r}" in msg
 
-    def test_node_cap_raises(self):
+    def test_node_cap_raises(self, monkeypatch):
         ch = ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)
+        monkeypatch.setattr(dfs, "MAX_DFS_NODES", 5)
         with pytest.raises(NumericError):
-            exhaustive_search(cost_matrix(ch), phi_bound(ch), Ring.GAUSSIAN,
-                              prune="cost", max_nodes=5)
+            exhaustive_search(cost_matrix(ch), phi_bound(ch), Ring.GAUSSIAN, prune="cost")
 
     def test_deterministic(self):
         rng = np.random.default_rng(502)

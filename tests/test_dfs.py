@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfsearch import dfs
 from cfsearch.baselines import exhaustive_search
 from cfsearch.bench import gen_channel
 from cfsearch.dfs import cost_pruned_scan
@@ -107,10 +108,11 @@ def test_nodes_count_accepted_complex_components():
     assert (x.tolist(), y.tolist(), f, nodes) == ([1], [0], 1.0, 1)
 
 
-def test_budget_error_names_the_instance():
+def test_budget_error_names_the_instance(monkeypatch):
     M, _ = gram_and_phi(3, 1, 20.0, 3)
+    monkeypatch.setattr(dfs, "MAX_DFS_NODES", 2)
     with pytest.raises(NumericError) as info:
-        cost_pruned_scan(M, Ring.EISENSTEIN, max_nodes=2)
+        cost_pruned_scan(M, Ring.EISENSTEIN)
     msg = str(info.value)
     assert "2-node budget" in msg
     assert "L=3" in msg and "eisenstein" in msg

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cfsearch.baselines import exhaustive_search
 from cfsearch import mimo
+from cfsearch.baselines import exhaustive_search
+from cfsearch.bench import gen_channel
 from cfsearch.errors import InvalidInputError, NumericError
 from cfsearch.mimo import enumerate_subsets, search_optimal_mimo, vertex_candidates
 from cfsearch.model import (
@@ -20,6 +21,12 @@ from cfsearch.model import (
 )
 from cfsearch.optimal import gen_disc, search_optimal
 from cfsearch.rings import Ring, unit_vectors, vector_value
+
+
+#: Channels with phi^(2L) above this are not graded against the full ball,
+#: which keeps every ball at or below about 3e6 vectors (about 8 phi^6 for
+#: the Eisenstein ring at L=3, the largest case).
+ORACLE_PHI_POWER_CAP = 4e5
 
 
 def random_matrix_channel(rng, k, L, P=None):
@@ -177,3 +184,28 @@ class TestSearchOptimalMimo:
         assert res.candidates_checked > 0
         assert res.subsets_skipped == 0
         assert res.rate is not None and res.rate >= 0.0
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+@pytest.mark.parametrize("L,k", [(2, 2), (3, 2), (3, 3)])
+def test_matches_full_ball_oracle(ring, L, k):
+    """The matrix search against `exhaustive_search(prune="norm")`.
+
+    The full-ball scan evaluates every vector of norm at most phi and shares
+    no minimization code with the cost-pruned scan that certifies
+    `search_optimal_mimo`, so agreement does not rest on the certifier.
+    """
+    rng = np.random.default_rng([406, L, k])
+    graded = 0
+    for snr_db in (0.0, 5.0, 10.0):
+        for _ in range(16):
+            ch = gen_channel(L, k, rng, 10.0 ** (snr_db / 10.0))
+            phi = mimo_phi(ch)
+            if phi ** (2 * L) > ORACLE_PHI_POWER_CAP:
+                continue
+            res = search_optimal_mimo(ch, ring)
+            ref = exhaustive_search(mimo_gram(ch), phi, ring, prune="norm")
+            assert res.f_min == pytest.approx(ref.f_min, rel=1e-9)
+            assert res.a_opt == ref.a_opt
+            graded += 1
+    assert graded >= 36  # at most a quarter of the channels have too large a ball
