@@ -7,7 +7,9 @@ what runtime-vs-SNR comparisons should measure), and a depth-first scan with
 cost-based pruning that returns the identical minimum orders of magnitude
 faster, making it usable as a correctness oracle at sizes where the full
 ball is out of reach.  Both enumerate candidates in a fixed deterministic
-order.
+order.  The full scan lists the ball as L-tuples of ring elements whose
+squared moduli sum to at most phi^2, with the bounded-tuple enumerator
+and running minimum of `optimal` that the matrix search also uses.
 
 `clll_search` is a complex-lattice LLL reduction over Gaussian integers; the
 shortest reduced basis row gives an approximate minimizer with the usual
@@ -34,10 +36,10 @@ import numpy as np
 from .dfs import cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import ChannelVector, SearchResult, check_cost_matrix, cost_batch, cost_matrix, phi_bound, rate
-from .optimal import _BestTracker, _search_result
+from .optimal import _BestTracker, _search_result, _tuple_blocks, _tuple_prefixes
 from .rings import SQRT3, Ring, quantize_gaussian, quantize_gaussian_array, vector_from_arrays
 
-#: Rows processed per vectorized block in the full-ball and polar-grid scans.
+#: Rows processed per vectorized block in the polar-grid scan.
 SCAN_CHUNK_ROWS = 1 << 19
 #: Hard ceiling on materialized prefix rows in the norm-pruned scan.
 MAX_TABLE_ROWS = 30_000_000
@@ -51,9 +53,9 @@ def _component_candidates(ring: Ring, phi2: float) -> tuple[np.ndarray, np.ndarr
     """All single-component ring coordinates with squared modulus <= phi2.
 
     Returns int64 coordinate arrays and the (integer) squared moduli, sorted
-    lexicographically by coordinates.  Both coordinates of an element of
-    squared modulus at most phi2 lie within 2*sqrt(phi2)/sqrt(3) of zero in
-    either ring, so one square grid holds every candidate.
+    by squared modulus, then by coordinates.  Both coordinates of an element
+    of squared modulus at most phi2 lie within 2*sqrt(phi2)/sqrt(3) of zero
+    in either ring, so one square grid holds every candidate.
     """
     c = math.floor(2.0 * math.sqrt(phi2) / SQRT3) + 1
     g = np.arange(-c, c + 1, dtype=np.int64)
@@ -61,87 +63,49 @@ def _component_candidates(ring: Ring, phi2: float) -> tuple[np.ndarray, np.ndarr
     n = ring.norm(x, y)
     keep = n <= phi2
     x, y, n = x[keep], y[keep], n[keep]
-    order = np.lexsort((y, x))
+    order = np.lexsort((y, x, n))
     return x[order], y[order], n[order]
 
 
 def _norm_pruned_scan(M: np.ndarray, phi: float, ring: Ring) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Full scan of nonzero ring vectors with ||a||^2 <= phi^2.
 
-    Grows the candidate table one component at a time, pruning prefixes by
-    accumulated squared norm, and folds the final component into a chunked
-    cost evaluation.  Returns winning coordinates, the minimum cost, and the
-    number of complete vectors evaluated.  Raises NumericError once the
-    prefix table exceeds `MAX_TABLE_ROWS` rows, and before any evaluation
-    when the ball holds more than `MAX_BALL_VECTORS` complete vectors.
+    The ball is the set of L-tuples of `_component_candidates` whose squared
+    moduli sum to at most phi^2, listed by `optimal`'s bounded-tuple
+    enumerator: `_tuple_prefixes` for L-1 components, then `_tuple_blocks`
+    for the last, each block priced by a `_BestTracker`.  Returns winning
+    coordinates, the minimum cost, and the number of complete vectors
+    evaluated.  Raises NumericError before building a prefix level of more
+    than `MAX_TABLE_ROWS` rows, and before any evaluation when the ball
+    holds more than `MAX_BALL_VECTORS` complete vectors.
     """
     L = M.shape[0]
     phi2 = phi * phi
     cx, cy, cn = _component_candidates(ring, phi2)
-    ncand = cx.size
-    cn_sorted = np.sort(cn)
-
-    X = np.empty((1, 0), np.int64)
-    Y = np.empty((1, 0), np.int64)
-    N = np.zeros(1, np.int64)
-    f_best = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    checked = 0
-
-    for comp in range(L):
-        last = comp == L - 1
-        if last:
-            # every prefix extends by each candidate within its remaining norm;
-            # the one all-zero prefix and candidate make the zero vector
-            count = int(np.searchsorted(cn_sorted, phi2 - N, side="right").sum()) - 1
-            if count > MAX_BALL_VECTORS:
-                raise NumericError(
-                    f"norm-pruned scan ball of {count} vectors exceeds the "
-                    f"{MAX_BALL_VECTORS}-vector budget (L={L}, ring={ring.value}, "
-                    f"phi={phi!r}); use prune='cost'"
-                )
-        parts_x, parts_y, parts_n = [], [], []
-        step = max(1, SCAN_CHUNK_ROWS // ncand)
-        for lo in range(0, N.size, step):
-            hi = min(lo + step, N.size)
-            rows = hi - lo
-            n_new = np.repeat(N[lo:hi], ncand) + np.tile(cn, rows)
-            keep = n_new <= phi2
-            if last:
-                keep &= n_new > 0
-            if not keep.any():
-                continue
-            x_new = np.concatenate(
-                [np.repeat(X[lo:hi], ncand, axis=0)[keep], np.tile(cx, rows)[keep, None]],
-                axis=1,
-            )
-            y_new = np.concatenate(
-                [np.repeat(Y[lo:hi], ncand, axis=0)[keep], np.tile(cy, rows)[keep, None]],
-                axis=1,
-            )
-            if last:
-                f = cost_batch(ring.values(x_new, y_new), M)
-                checked += f.size
-                i = int(np.argmin(f))
-                if f[i] < f_best:
-                    f_best = float(f[i])
-                    best = (x_new[i], y_new[i])
-            else:
-                parts_x.append(x_new)
-                parts_y.append(y_new)
-                parts_n.append(n_new[keep])
-        if not last:
-            X = np.concatenate(parts_x) if parts_x else np.empty((0, comp + 1), np.int64)
-            Y = np.concatenate(parts_y) if parts_y else np.empty((0, comp + 1), np.int64)
-            N = np.concatenate(parts_n) if parts_n else np.empty(0, np.int64)
-            if N.size > MAX_TABLE_ROWS:
-                raise NumericError(
-                    f"norm-pruned scan table of {N.size} prefixes exceeds the "
-                    f"{MAX_TABLE_ROWS}-row budget (L={L}, ring={ring.value}, "
-                    f"phi={phi!r}); use prune='cost'"
-                )
-    assert best is not None  # the ball always contains unit vectors for phi >= 1
-    return best[0], best[1], f_best, checked
+    prefixes = _tuple_prefixes(
+        cn, L - 1, phi2, MAX_TABLE_ROWS,
+        lambda rows: (
+            f"norm-pruned scan table of {rows} prefixes exceeds the "
+            f"{MAX_TABLE_ROWS}-row budget (L={L}, ring={ring.value}, "
+            f"phi={phi!r}); use prune='cost'"
+        ),
+    )
+    # every prefix extends by each candidate within its remaining norm; the
+    # one all-zero prefix and candidate make the zero vector
+    count = int(np.searchsorted(cn, phi2 - prefixes[1], side="right").sum()) - 1
+    if count > MAX_BALL_VECTORS:
+        raise NumericError(
+            f"norm-pruned scan ball of {count} vectors exceeds the "
+            f"{MAX_BALL_VECTORS}-vector budget (L={L}, ring={ring.value}, "
+            f"phi={phi!r}); use prune='cost'"
+        )
+    best = _BestTracker(M, ring)
+    for idx, _ in _tuple_blocks(cn, *prefixes, lambda: phi2):
+        # the first component varies fastest, so of exactly tying vectors the
+        # one with trailing zeros comes first (e_1, not e_L, on M = I)
+        idx = idx[:, ::-1]
+        best.consider(cx[idx], cy[idx])
+    return *best.coords, best.f, best.checked
 
 
 def exhaustive_search(M: np.ndarray, phi: float, ring: Ring, prune: str = "norm") -> SearchResult:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -70,6 +70,8 @@ from .rings import (
 )
 
 EISENSTEIN_BOUND_SLACK = 1e-12  # relative slack for irrational coordinates
+#: Tuple rows per block streamed by `_tuple_blocks`.
+TUPLE_CHUNK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,8 @@ class _BestTracker:
     """Running strict-< minimum over candidate blocks of integer coordinates.
 
     The one incumbent of the sampling scans in `search_optimal`,
-    `search_optimal_mimo` and `qes_search`: a block's all-zero rows are
+    `search_optimal_mimo` and `qes_search`, and of the full-ball scan of
+    `exhaustive_search(prune="norm")`: a block's all-zero rows are
     dropped, the rest priced with `cost_batch`, and only a strictly cheaper
     candidate replaces the incumbent, so ties keep the earliest one.
     `checked` counts the candidates priced, plus the certification nodes.
@@ -288,6 +291,54 @@ class _BestTracker:
             ) from e
         self.coords = (x, y)
         self.checked += nodes
+
+
+def _tuple_blocks(
+    w: np.ndarray, idx: np.ndarray, s: np.ndarray, budget: Callable[[], float]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream every row of `idx` extended by each index j with s + w[j] <= budget().
+
+    `w` is ascending, so the indices a row admits are a prefix of `w`, found
+    by binary search.  Blocks hold up to `TUPLE_CHUNK_ROWS` rows (at least
+    one prefix row each) in prefix-major order with the new index fastest,
+    paired with their weight sums; empty blocks are not yielded.  `budget`
+    is called again before each block, so a budget lowered by the consumer
+    drops the remaining tuples it no longer admits.
+    """
+    pos = 0
+    while pos < s.size:
+        counts = np.searchsorted(w, budget() - s[pos:], side="right")
+        ends = np.cumsum(counts)
+        n = max(1, int(np.searchsorted(ends, TUPLE_CHUNK_ROWS, side="right")))
+        counts, ends = counts[:n], ends[:n]
+        if ends[-1]:
+            rows = pos + np.repeat(np.arange(n), counts)
+            inner = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+            yield np.concatenate([idx[rows], inner[:, None]], axis=1), s[rows] + w[inner]
+        pos += n
+
+
+def _tuple_prefixes(
+    w: np.ndarray, depth: int, budget: float, max_rows: int, too_many: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table of index tuples of length `depth` over ascending weights `w`
+    whose weight sum is at most `budget`, with those sums.
+
+    Grown one level at a time through `_tuple_blocks`; raises
+    NumericError(too_many(rows)) when a level would hold more than
+    `max_rows` rows, counted before the level is built.
+    `_tuple_blocks(w, *table, budget)` then streams the last level.
+    """
+    idx, s = np.empty((1, 0), np.int64), np.zeros(1, w.dtype)
+    for level in range(depth):
+        rows = int(np.searchsorted(w, budget - s, side="right").sum())
+        if rows > max_rows:
+            raise NumericError(too_many(rows))
+        parts = [(np.empty((0, level + 1), np.int64), s[:0])]
+        parts += _tuple_blocks(w, idx, s, lambda: budget)
+        idx = np.concatenate([p for p, _ in parts])
+        s = np.concatenate([t for _, t in parts])
+    return idx, s
 
 
 def _search_result(

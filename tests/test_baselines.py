@@ -76,11 +76,14 @@ class TestExhaustiveSearch:
             exhaustive_search(np.ones((2, 3)), 1.5, Ring.GAUSSIAN)
 
     def test_table_cap_raises(self, monkeypatch):
-        M = cost_matrix(ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0))
+        # a ball of 484 vectors, far inside MAX_BALL_VECTORS, whose first
+        # level already holds 13 prefixes: only the table budget can raise
+        ch = ChannelVector(np.array([1.0, 1.0j, -1.0]), 1.0)
+        M, phi = cost_matrix(ch), phi_bound(ch)
+        assert exhaustive_search(M, phi, Ring.GAUSSIAN, prune="norm").candidates_checked == 484
         monkeypatch.setattr(baselines, "MAX_TABLE_ROWS", 10)
-        with pytest.raises(NumericError):
-            exhaustive_search(M, phi_bound(ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)),
-                              Ring.GAUSSIAN, prune="norm")
+        with pytest.raises(NumericError, match="10-row budget"):
+            exhaustive_search(M, phi, Ring.GAUSSIAN, prune="norm")
 
     def test_table_cap_error_names_the_instance(self, monkeypatch):
         ch = ChannelVector(np.array([1.0, 1.0j, -1.0]), 100.0)

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used.
+"""Every name a package module imports is used, and every private name it
+defines is read.
 
-No linter runs on this repository, so this test is its unused-import
-check.  An imported name counts as used when the module reads it, lists it
+No linter runs on this repository, so this test is its unused-import and
+unused-private-name check.  An imported name counts as used when the module reads it, lists it
 in `__all__`, or is one that `perfbench/tracing.py` wraps under that module
 (its `TARGETS`): the tracer replaces the module attribute by name, so the
 name must stay even where the module no longer calls it.  `TARGETS` is read
@@ -61,3 +62,35 @@ def test_every_imported_name_is_used(path):
     exported = set(assigned_literal(tree, "__all__") or ())
     unused = imported_names(tree) - read - exported - traced_names()[path.stem]
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The `_x` names (not dunders) a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def package_reads() -> set[str]:
+    """Every name the package reads, bare or as an attribute."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_read(path):
+    # a private name is read in its own module or imported into another and
+    # read there (an import left unread fails the test above)
+    unread = private_definitions(ast.parse(path.read_text())) - package_reads()
+    assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"

@@ -10,7 +10,7 @@ from cfsearch import mimo
 from cfsearch.baselines import exhaustive_search
 from cfsearch.bench import gen_channel
 from cfsearch.errors import InvalidInputError, NumericError
-from cfsearch.mimo import enumerate_subsets, search_optimal_mimo, vertex_candidates
+from cfsearch.mimo import enumerate_subsets, search_optimal_mimo
 from cfsearch.model import (
     ChannelMatrix,
     ChannelVector,
@@ -20,7 +20,7 @@ from cfsearch.model import (
     phi_bound,
 )
 from cfsearch.optimal import gen_disc, search_optimal
-from cfsearch.rings import Ring, unit_vectors, vector_value
+from cfsearch.rings import Ring, unit_vectors
 
 
 #: Channels with phi^(2L) above this are not graded against the full ball,
@@ -50,47 +50,6 @@ class TestEnumerateSubsets:
             enumerate_subsets(3, 0)
         with pytest.raises(InvalidInputError):
             enumerate_subsets(3, 4)
-
-
-class TestVertexCandidates:
-    def test_identity_channel_pins_marked_points(self):
-        ch = ChannelMatrix(np.eye(2), 1.0)
-        psi = gen_disc(mimo_phi(ch), Ring.GAUSSIAN)
-        cands = list(vertex_candidates(ch, (0, 1), psi, Ring.GAUSSIAN))
-        assert len(cands) == psi.points.size ** 2
-        # for the identity channel the candidate is just the quantized tuple;
-        # the all-half tuple (0.5, 0.5) decodes half-up to (1, 1)
-        i = int(np.where(psi.points == 0.5 + 0.5j)[0][0])
-        got = cands[i * psi.points.size + i]
-        assert vector_value(got).tolist() == [1.0 + 1.0j, 1.0 + 1.0j]
-
-    def test_single_row_matches_scaling_route(self):
-        rng = np.random.default_rng(401)
-        h = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
-        ch = ChannelMatrix(h[None, :], 6.0)
-        psi = gen_disc(mimo_phi(ch), Ring.GAUSSIAN)
-        for l in range(3):
-            from_vertices = {
-                tuple(v) for v in vertex_candidates(ch, (l,), psi, Ring.GAUSSIAN)
-            }
-            from_scalings = set()
-            from cfsearch.rings import quantize_gaussian_array, vector_from_arrays
-
-            for p in psi.points:
-                row = (p / h[l]) * h
-                row[l] = p
-                x, y = quantize_gaussian_array(row)
-                from_scalings.add(tuple(vector_from_arrays(x, y, Ring.GAUSSIAN)))
-            assert from_vertices == from_scalings
-
-    def test_rejects_singular_subset(self):
-        H = np.array([[1.0, 2.0, 0.5j], [2.0, 4.0, 1.0]])  # columns 0,1 parallel
-        ch = ChannelMatrix(H, 1.0)
-        psi = gen_disc(mimo_phi(ch), Ring.GAUSSIAN)
-        with pytest.raises(InvalidInputError):
-            next(vertex_candidates(ch, (0, 1), psi, Ring.GAUSSIAN))
-        # a well-conditioned subset of the same channel still works
-        assert next(vertex_candidates(ch, (0, 2), psi, Ring.GAUSSIAN)) is not None
 
 
 class TestSearchOptimalMimo:
@@ -156,6 +115,29 @@ class TestSearchOptimalMimo:
         assert res.f_min == pytest.approx(ref.f_min, rel=1e-12)
         assert res.f_min < min(cost(u, M) for u in unit_vectors(2, Ring.GAUSSIAN))
         assert cost(res.a_opt, M) == pytest.approx(res.f_min, rel=1e-12)
+
+    def test_tuple_scan_pins_marked_points(self, monkeypatch):
+        # each candidate quantizes c H_tau^-1 H with its tau entries set to
+        # the marked tuple c itself, not to c's round trip through the solve,
+        # which moves some entries off their boundary here; the all-half
+        # tuple (0.5 + 0.5j, 0.5 + 0.5j) decodes half-up to (1 + 1j, 1 + 1j)
+        ch = ChannelMatrix(np.array([[1.0, 0.9 + 0.1j], [0.9, 1.0]]), 3.0)
+        quantize, offered = mimo._quantize_coords, []
+
+        def capture(A, ring):
+            x, y = quantize(A, ring)
+            if A.ndim == 2:  # a tuple block, not the marked points' norms
+                offered.append((A.copy(), x, y))
+            return x, y
+
+        monkeypatch.setattr(mimo, "_quantize_coords", capture)
+        search_optimal_mimo(ch, Ring.GAUSSIAN)
+        A, x, y = (np.concatenate(parts) for parts in zip(*offered))
+        # k = L, so every entry lies on tau
+        points = set(gen_disc(mimo_phi(ch), Ring.GAUSSIAN).points.tolist())
+        assert set(A.ravel().tolist()) <= points
+        (half,) = np.flatnonzero((A == 0.5 + 0.5j).all(axis=1))
+        assert x[half].tolist() == [1, 1] and y[half].tolist() == [1, 1]
 
     def test_prefix_budget_error_names_the_instance(self, monkeypatch):
         monkeypatch.setattr(mimo, "MAX_PREFIX_ROWS", 1)

@@ -6,8 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cfsearch import optimal
 from cfsearch.baselines import exhaustive_search
-from cfsearch.errors import InvalidInputError
+from cfsearch.errors import InvalidInputError, NumericError
 from cfsearch.model import (
     ChannelVector,
     cost,
@@ -18,6 +19,8 @@ from cfsearch.model import (
 from cfsearch.optimal import (
     AlphaSet,
     DiscontinuitySet,
+    _tuple_blocks,
+    _tuple_prefixes,
     gen_alpha_set,
     gen_disc,
     gen_disc_eisenstein,
@@ -196,6 +199,54 @@ class TestAlphaSet:
         psi_e = gen_disc(1.0, Ring.EISENSTEIN)
         with pytest.raises(InvalidInputError):
             gen_alpha_set(psi_e, self.ch, quadrant_reduce=True)
+
+
+def bounded_tuples(w: np.ndarray, k: int, budget) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of index k-tuples over `w` whose sums are within `budget()`."""
+    prefixes = _tuple_prefixes(w, k - 1, budget(), 10**6, str)
+    return list(_tuple_blocks(w, *prefixes, budget))
+
+
+class TestBoundedTuples:
+    """The enumerator shared by the matrix search and the norm-ball scan."""
+
+    @pytest.mark.parametrize("w", [[0, 1, 1, 2, 4], [0, 0, 3], [1, 2, 2, 2, 5, 7]])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_itertools_product(self, w, k):
+        w = np.asarray(w, np.int64)
+        sums = sorted({sum(t) for t in product(w.tolist(), repeat=k)})
+        # every attainable sum, and a bound between each pair of them
+        bounds = sums + [(a + b) / 2 for a, b in zip(sums, sums[1:])]
+        for bound in bounds:
+            blocks = bounded_tuples(w, k, lambda: bound)
+            rows = [tuple(r) for idx, _ in blocks for r in idx.tolist()]
+            expected = [t for t in product(range(w.size), repeat=k) if w[list(t)].sum() <= bound]
+            assert rows == expected  # the same tuples, in lexicographic order
+            for idx, s in blocks:
+                assert s.tolist() == w[idx].sum(axis=1).tolist()
+                assert (s <= bound).all()
+
+    @pytest.mark.parametrize("k", [2, 3])  # k = 1 has one prefix row, so one block
+    def test_lowered_budget_drops_only_tuples_over_it(self, monkeypatch, k):
+        monkeypatch.setattr(optimal, "TUPLE_CHUNK_ROWS", 4)
+        w = np.array([0, 1, 1, 2, 4], np.int64)
+        high, low = 6, 3
+        full = [tuple(r) for idx, _ in bounded_tuples(w, k, lambda: high) for r in idx.tolist()]
+        budgets = iter([high, high] + [low] * len(full))  # prefixes, first block, the rest
+        blocks = bounded_tuples(w, k, lambda: next(budgets))
+        first = [tuple(r) for r in blocks[0][0].tolist()]
+        rest = [tuple(r) for idx, _ in blocks[1:] for r in idx.tolist()]
+        assert first == full[: len(first)] and len(first) < len(full)
+        assert rest == [t for t in full[len(first) :] if w[list(t)].sum() <= low]
+
+    def test_row_budget_error(self):
+        w = np.array([0, 1, 1, 2, 4], np.int64)
+        # 5 rows at the first level, 18 pairs within 4 at the second
+        assert _tuple_prefixes(w, 2, 4.0, 18, str)[0].shape == (18, 2)
+        with pytest.raises(NumericError, match="^table of 18 rows$"):
+            _tuple_prefixes(w, 2, 4.0, 17, lambda rows: f"table of {rows} rows")
+        with pytest.raises(NumericError, match="^table of 5 rows$"):
+            _tuple_prefixes(w, 2, 4.0, 4, lambda rows: f"table of {rows} rows")
 
 
 class TestSearchOptimal:
