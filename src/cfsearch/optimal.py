@@ -12,7 +12,10 @@ The marked boundary points for the Gaussian ring are the complex numbers
 with one coordinate integer and the other half-integer, or both coordinates
 half-integer, inside a circle of radius ceil(Phi) + 1/2.  For the Eisenstein
 ring they are the midpoints of nearest-neighbor lattice pairs, which form
-three lattice families inside a circle of radius ceil(Phi) + 3/4.
+three residue classes of a quarter grid inside a circle of radius
+ceil(Phi) + 3/4.  Both sets depend only on the ring and ceil(Phi); each is
+laid out row by row in one vectorized pass, and a set of more than
+`MAX_MARKED_POINTS` points is refused before it is allocated.
 
 Multiplying a vector by a unit rotates every marked point by the same angle
 and leaves the cost unchanged, so by default the search keeps only the
@@ -70,6 +73,9 @@ from .rings import (
 )
 
 EISENSTEIN_BOUND_SLACK = 1e-12  # relative slack for irrational coordinates
+#: Most marked points `gen_disc_*` lay out (read at call time): ten times
+#: the largest set the tests, the benchmark and `cfsearch selftest` reach.
+MAX_MARKED_POINTS = 10_000_000
 #: Tuple rows per block streamed by `_tuple_blocks`.
 TUPLE_CHUNK_ROWS = 1 << 18
 
@@ -104,76 +110,104 @@ def _check_phi(phi: float) -> float:
     return float(phi)
 
 
+def _lay_out_disc(
+    ring: Ring,
+    phi: float,
+    B: float,
+    B2: float,
+    re: np.ndarray,
+    J: np.ndarray,
+    step: np.ndarray,
+    imag_of: Callable[[np.ndarray], np.ndarray],
+) -> DiscontinuitySet:
+    """The grid points (re[r], imag_of(j)) with re^2 + imag^2 <= B2, row by row.
+
+    Row r holds the columns j = -J[r], -J[r] + step[r], ..., J[r]; `J` enters
+    as an upper estimate in the row's residue class and each row's end is
+    lowered until the exact test admits it.  The admitted columns of a row
+    are one symmetric range because the test is monotone in |imag|, so the
+    point count is known before anything is allocated and is checked
+    against `MAX_MARKED_POINTS`.  Rows ascend in `re` and columns in j, so
+    the points come out sorted by (real, imag).
+    """
+    while True:
+        im = imag_of(J)
+        too_far = (J >= 0) & (re * re + im * im > B2)
+        if not too_far.any():
+            break
+        J = J - step * too_far
+    counts = np.where(J >= 0, 2 * J // step + 1, 0)
+    n = int(counts.sum())
+    if n > MAX_MARKED_POINTS:
+        raise NumericError(
+            f"the {ring.value} marked-point set for phi={phi!r} holds {n} points, over "
+            f"the {MAX_MARKED_POINTS}-point budget"
+        )
+    # one ragged arange: j = -J[r] + step[r] * (position within row r)
+    starts = np.cumsum(counts) - counts
+    j = np.arange(n)
+    j *= np.repeat(step, counts)
+    j -= np.repeat(J + step * starts, counts)
+    # drop each temporary before the next: the peak stays near 2x the output
+    imag = imag_of(j)
+    del j
+    points = np.empty(n, np.complex128)
+    points.imag = imag
+    del imag
+    points.real = np.repeat(re, counts)
+    return DiscontinuitySet(points=points, ring=ring, bound=B)
+
+
 def gen_disc_gaussian(phi: float) -> DiscontinuitySet:
     """Marked boundary points of the Gaussian quantizer within the search circle.
 
-    Points have (integer, half-integer), (half-integer, integer) or
-    (half-integer, half-integer) coordinates and modulus at most
-    ceil(phi) + 1/2.  The imaginary range is trimmed per real value, and all
-    coordinates are exact dyadics so membership tests are exact.
+    The points are the half-integer grid (Z/2)^2 without Z^2: coordinates
+    (integer, half-integer), (half-integer, integer) or (half-integer,
+    half-integer), with modulus at most ceil(phi) + 1/2.  Row i/2 of the
+    grid holds the columns j/2 with j of any parity (i odd) or j odd (i
+    even), trimmed per row by one vectorized square root with a margin of
+    one and then by the exact test; all coordinates are exact dyadics, so
+    the test is exact.  Raises NumericError when the set would hold more
+    than `MAX_MARKED_POINTS` points.
     """
     phi = _check_phi(phi)
     B = math.ceil(phi) + 0.5
     B2 = B * B
-    reals = -B + 0.5 * np.arange(int(round(4 * B)) + 1)
-    pts = []
-    for r in reals:
-        rem = B2 - r * r
-        m = math.sqrt(rem) if rem > 0 else 0.0
-        if r % 1.0 == 0.5:
-            # families with half-integer real part: integer or half-integer imag
-            lo = math.floor(-m - 1)
-            hi = math.ceil(m + 1)
-            ims = 0.5 * np.arange(2 * lo, 2 * hi + 1)
-        else:
-            # integer real part: half-integer imag only
-            lo = math.floor(-m - 1)
-            hi = math.ceil(m + 1)
-            ims = 0.5 + np.arange(lo, hi + 1)
-        ims = ims[r * r + ims * ims <= B2]
-        if ims.size:
-            pts.append(r + 1j * ims)
-    points = np.concatenate(pts) if pts else np.empty(0, np.complex128)
-    return DiscontinuitySet(points=points, ring=Ring.GAUSSIAN, bound=B)
+    k = np.arange(int(round(4 * B)) + 1)
+    re = -B + 0.5 * k
+    integer_re = k % 2  # B is a half-integer: odd k gives an integer re
+    step = 1 + integer_re
+    m = np.sqrt(np.maximum(B2 - re * re, 0.0))
+    J = np.ceil(2 * m).astype(np.int64) + 2
+    J -= (J - integer_re) % step  # into the row's residue class
+    return _lay_out_disc(Ring.GAUSSIAN, phi, B, B2, re, J, step, lambda j: 0.5 * j)
 
 
 def gen_disc_eisenstein(phi: float) -> DiscontinuitySet:
     """Marked boundary points of the Eisenstein quantizer within the search circle.
 
     The points are the midpoints of nearest-neighbor pairs of the hexagonal
-    lattice: real parts in 1/4 + Z/2 with imaginary parts in
-    sqrt(3)*(1/4 + Z/2), integer real parts with imaginary parts in
-    sqrt(3)*(1/2 + Z), and real parts in 1/2 + Z with imaginary parts in
-    sqrt(3)*Z, all with modulus at most ceil(phi) + 3/4 (up to float slack;
-    no family point lies exactly on the circle).
+    lattice, with modulus at most ceil(phi) + 3/4 (up to float slack; no
+    point lies exactly on the circle).  On the grid re = i/4,
+    im = sqrt(3)*j/4 they are three residue classes: i and j both odd;
+    i = 0 and j = 2 (mod 4); i = 2 and j = 0 (mod 4).  Each row is trimmed
+    by one vectorized square root with a margin of one and then by the
+    exact test.  Raises NumericError when the set would hold more than
+    `MAX_MARKED_POINTS` points.
     """
     phi = _check_phi(phi)
     B = math.ceil(phi) + 0.75
     B2 = B * B * (1.0 + EISENSTEIN_BOUND_SLACK)
-    families = (
-        (0.25, 0.5, 0.25, 0.5),  # (re offset, re step, im multiple offset, im step)
-        (0.0, 1.0, 0.5, 1.0),
-        (0.5, 1.0, 0.0, 1.0),
+    i = np.arange(-int(4 * B), int(4 * B) + 1)
+    re = 0.25 * i
+    step = np.where(i % 2 == 1, 2, 4)
+    residue = np.where(i % 2 == 1, 1, (i + 2) % 4)
+    m = np.sqrt(np.maximum(B2 - re * re, 0.0)) / SQRT3
+    J = np.ceil(4 * m).astype(np.int64) + 4
+    J -= (J - residue) % step  # into the row's residue class
+    return _lay_out_disc(
+        Ring.EISENSTEIN, phi, B, B2, re, J, step, lambda j: SQRT3 * (0.25 * j)
     )
-    pts = []
-    for re_off, re_step, im_off, im_step in families:
-        k_lo = math.floor((-B - re_off) / re_step) - 1
-        k_hi = math.ceil((B - re_off) / re_step) + 1
-        for k in range(k_lo, k_hi + 1):
-            r = re_off + re_step * k
-            if r * r > B2:
-                continue
-            m = math.sqrt(max(B2 - r * r, 0.0)) / SQRT3
-            t_lo = math.floor((-m - im_off) / im_step) - 1
-            t_hi = math.ceil((m - im_off) / im_step) + 1
-            t = im_off + im_step * np.arange(t_lo, t_hi + 1)
-            ims = SQRT3 * t
-            ims = ims[r * r + ims * ims <= B2]
-            if ims.size:
-                pts.append(r + 1j * ims)
-    points = np.concatenate(pts) if pts else np.empty(0, np.complex128)
-    order = np.lexsort((points.imag, points.real))
-    return DiscontinuitySet(points=points[order], ring=Ring.EISENSTEIN, bound=B)
 
 
 def gen_disc(phi: float, ring: Ring) -> DiscontinuitySet:
@@ -204,7 +238,9 @@ def gen_alpha_set(
 
     `quadrant_reduce` keeps only marked points with argument in [0, 90)
     (Gaussian ring only; four-fold reduction).  `sector_reduce` keeps
-    arguments in [0, 60) (Eisenstein ring only; six-fold reduction).  An
+    arguments in [0, 60) (Eisenstein ring only; six-fold reduction).  The
+    set is one contiguous segment per nonzero component, in ascending
+    order, each holding the same marked points in the same order.  An
     all-zero channel yields an empty set flagged `units_only`.
     """
     if quadrant_reduce and psi.ring is not Ring.GAUSSIAN:
@@ -412,10 +448,22 @@ def search_optimal(
     best = _BestTracker(M, ring)
 
     if not aset.units_only:
-        for l in np.unique(aset.component):
-            sel = aset.component == l
-            phis = aset.phis[sel]
-            A = aset.alphas[sel][:, None] * ch.h[None, :]
+        # one contiguous segment per nonzero component, each holding the
+        # same marked points (`gen_alpha_set`)
+        segments = np.count_nonzero(ch.h)
+        alphas = aset.alphas.reshape(segments, -1)
+        components = aset.component.reshape(segments, -1)[:, 0].tolist()
+        phis = aset.phis[: alphas.shape[1]]
+        if quadrant_reduce:
+            re_half = np.mod(phis.real, 1.0) == 0.5
+            im_half = np.mod(phis.imag, 1.0) == 0.5
+            neighbors = [
+                (mask, dx, dy)
+                for mask, dx, dy in ((re_half, 1, 0), (im_half, 0, 1), (re_half & im_half, 1, 1))
+                if mask.any()
+            ]
+        for l, alpha in zip(components, alphas):
+            A = alpha[:, None] * ch.h[None, :]
             A[:, l] = phis  # the active component sits exactly on the boundary
             if gaussian:
                 x, y = quantize_gaussian_array(A)
@@ -423,18 +471,11 @@ def search_optimal(
                 x, y = quantize_eisenstein_array(A)
             best.consider(x, y)
             if quadrant_reduce:
-                re_half = np.mod(phis.real, 1.0) == 0.5
-                im_half = np.mod(phis.imag, 1.0) == 0.5
-                for mask, dx, dy in (
-                    (re_half, 1, 0),
-                    (im_half, 0, 1),
-                    (re_half & im_half, 1, 1),
-                ):
-                    if mask.any():
-                        xv, yv = x[mask].copy(), y[mask].copy()
-                        xv[:, l] -= dx
-                        yv[:, l] -= dy
-                        best.consider(xv, yv)
+                for mask, dx, dy in neighbors:
+                    xv, yv = x[mask], y[mask]
+                    xv[:, l] -= dx
+                    yv[:, l] -= dy
+                    best.consider(xv, yv)
             if sector_reduce:
                 # mirrored endpoint of the bisected nearest-neighbor pair
                 mirrored = 2.0 * phis - ring.values(x[:, l], y[:, l])

@@ -3,23 +3,25 @@
 The certification DFS inside the exact searches re-raises its node-budget
 error with `cfsearch search` arguments that replay the channel; the
 norm-ball scan refuses a ball of more than `MAX_BALL_VECTORS` complete
-vectors before evaluating any of them.
+vectors before evaluating any of them, and the marked-point generators
+refuse a set of more than `MAX_MARKED_POINTS` points before allocating it.
 """
 
 import json
 import shlex
+import time
 
 import numpy as np
 import pytest
 
-from cfsearch import baselines, dfs
+from cfsearch import baselines, dfs, optimal
 from cfsearch.baselines import exhaustive_search
 from cfsearch.bench import gen_channel
-from cfsearch.cli import EXIT_OK, main
+from cfsearch.cli import EXIT_NUMERIC, EXIT_OK, main
 from cfsearch.errors import NumericError
 from cfsearch.mimo import search_optimal_mimo
-from cfsearch.model import ChannelVector, cost_matrix, phi_bound
-from cfsearch.optimal import search_optimal
+from cfsearch.model import ChannelVector, cost_matrix, phi_bound, replay_args
+from cfsearch.optimal import gen_disc, search_optimal
 from cfsearch.rings import Ring
 
 
@@ -80,3 +82,31 @@ def test_ball_budget_stops_a_runaway_sweep_trial_at_once():
         exhaustive_search(M, phi, Ring.GAUSSIAN, prune="norm")
     ref = exhaustive_search(M, phi, Ring.GAUSSIAN, prune="cost")
     assert ref.f_min == pytest.approx(search_optimal(ch, Ring.GAUSSIAN).f_min, rel=1e-12)
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+def test_marked_point_budget_counts_exactly_the_generated_points(monkeypatch, ring):
+    phi = 7.3
+    n = gen_disc(phi, ring).points.size
+    monkeypatch.setattr(optimal, "MAX_MARKED_POINTS", n)
+    assert gen_disc(phi, ring).points.size == n
+    monkeypatch.setattr(optimal, "MAX_MARKED_POINTS", n - 1)
+    with pytest.raises(NumericError) as info:
+        gen_disc(phi, ring)
+    msg = str(info.value)
+    assert f"holds {n} points" in msg and f"{n - 1}-point budget" in msg
+    assert ring.value in msg and f"phi={phi!r}" in msg
+
+
+def test_marked_point_budget_refuses_a_huge_disc_at_once(capsys):
+    # phi = 3830 here: the Gaussian disc holds 138,286,888 marked points
+    # (2.06 GiB of complex128), refused before any of them is laid out
+    ch = gen_channel(8, 1, np.random.default_rng(3), 1e6).row_vector()
+    t0 = time.perf_counter()
+    with pytest.raises(NumericError, match="holds 138286888 points"):
+        search_optimal(ch, Ring.GAUSSIAN)
+    assert time.perf_counter() - t0 < 1.0
+    # the CLI reports it as a numeric error, not an internal one
+    argv = ["search", *shlex.split(replay_args(ch.h, ch.P, Ring.GAUSSIAN, "optimal"))]
+    assert main(argv) == EXIT_NUMERIC
+    assert "numeric error: the gaussian marked-point set" in capsys.readouterr().err

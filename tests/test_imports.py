@@ -1,5 +1,5 @@
-"""Every name a package module imports is used, and every private name it
-defines is read.
+"""Every name a package module imports is used, every private name it
+defines is read, and every work budget can be lowered by a test.
 
 No linter runs on this repository, so this test is its unused-import and
 unused-private-name check.  An imported name counts as used when the module reads it, lists it
@@ -7,6 +7,11 @@ in `__all__`, or is one that `perfbench/tracing.py` wraps under that module
 (its `TARGETS`): the tracer replaces the module attribute by name, so the
 name must stay even where the module no longer calls it.  `TARGETS` is read
 from the tracer's source, not imported.
+
+A work budget is a module-level `MAX_*` constant.  It must be read at call
+time (inside a function body, never as a default value or at import), so
+that `monkeypatch.setattr(module, "MAX_X", n)` takes effect, and some test
+must patch it that way.
 """
 
 import ast
@@ -94,3 +99,55 @@ def test_every_private_name_is_read(path):
     # read there (an import left unread fails the test above)
     unread = private_definitions(ast.parse(path.read_text())) - package_reads()
     assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"
+
+
+def budgets() -> list[tuple[str, str]]:
+    """(module, name) of every module-level `MAX_*` assignment in the package."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            out += [(path.stem, t.id) for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+    return out
+
+
+def budget_reads(node: ast.AST, in_body: bool = False):
+    """(name, inside a function body) for every read of a `MAX_*` name under `node`."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id.startswith("MAX_"):
+        yield node.id, in_body
+    elif isinstance(node, ast.Attribute) and node.attr.startswith("MAX_"):
+        yield node.attr, in_body
+    elif isinstance(node, ast.ImportFrom):  # binds the value once, at import
+        yield from ((a.name, False) for a in node.names if a.name.startswith("MAX_"))
+    body = []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        body = node.body
+    elif isinstance(node, ast.Lambda):
+        body = [node.body]
+    for child in ast.iter_child_nodes(node):
+        yield from budget_reads(child, in_body or any(child is b for b in body))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_budgets_are_read_at_call_time(path):
+    early = sorted({name for name, inside in budget_reads(ast.parse(path.read_text())) if not inside})
+    assert not early, f"{path.name} reads budgets outside a function body: {early}"
+
+
+def test_every_budget_is_patched_by_a_test():
+    patched = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Name)
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                patched.add((node.args[0].id, node.args[1].value))
+    found = budgets()
+    assert len(found) >= 5
+    missing = sorted(set(found) - patched)
+    assert not missing, f"no test patches these budgets (module, name): {missing}"

@@ -1,6 +1,7 @@
 """Boundary-point enumeration and the exact coefficient search."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from cfsearch import optimal
 from cfsearch.baselines import exhaustive_search
+from cfsearch.bench import gen_channel
+from cfsearch.dfs import cost_pruned_scan
 from cfsearch.errors import InvalidInputError, NumericError
 from cfsearch.model import (
     ChannelVector,
@@ -27,7 +30,7 @@ from cfsearch.optimal import (
     gen_disc_gaussian,
     search_optimal,
 )
-from cfsearch.rings import SQRT3, EisensteinInt, Ring, unit_vectors, vector_value
+from cfsearch.rings import SQRT3, EisensteinInt, Ring, canonical, unit_vectors, vector_value
 
 
 def gaussian_disc_oracle(phi: float) -> set[tuple[float, float]]:
@@ -140,6 +143,91 @@ class TestEisensteinBoundaryPoints:
     def test_rejects_bad_phi(self):
         with pytest.raises(InvalidInputError):
             gen_disc_eisenstein(0.0)
+
+
+def reference_gen_disc_gaussian(phi: float) -> np.ndarray:
+    """The Gaussian marked points as generated before vectorization: one
+    Python loop over the real parts, trimming each row's imaginary range."""
+    B = math.ceil(phi) + 0.5
+    B2 = B * B
+    reals = -B + 0.5 * np.arange(int(round(4 * B)) + 1)
+    pts = []
+    for r in reals:
+        rem = B2 - r * r
+        m = math.sqrt(rem) if rem > 0 else 0.0
+        lo = math.floor(-m - 1)
+        hi = math.ceil(m + 1)
+        if r % 1.0 == 0.5:
+            ims = 0.5 * np.arange(2 * lo, 2 * hi + 1)
+        else:
+            ims = 0.5 + np.arange(lo, hi + 1)
+        ims = ims[r * r + ims * ims <= B2]
+        if ims.size:
+            pts.append(r + 1j * ims)
+    return np.concatenate(pts)
+
+
+def reference_gen_disc_eisenstein(phi: float) -> np.ndarray:
+    """The Eisenstein marked points as generated before vectorization: a
+    Python loop over the rows of each of the three families, then a sort."""
+    B = math.ceil(phi) + 0.75
+    B2 = B * B * (1.0 + optimal.EISENSTEIN_BOUND_SLACK)
+    families = (
+        (0.25, 0.5, 0.25, 0.5),  # (re offset, re step, im multiple offset, im step)
+        (0.0, 1.0, 0.5, 1.0),
+        (0.5, 1.0, 0.0, 1.0),
+    )
+    pts = []
+    for re_off, re_step, im_off, im_step in families:
+        k_lo = math.floor((-B - re_off) / re_step) - 1
+        k_hi = math.ceil((B - re_off) / re_step) + 1
+        for k in range(k_lo, k_hi + 1):
+            r = re_off + re_step * k
+            if r * r > B2:
+                continue
+            m = math.sqrt(max(B2 - r * r, 0.0)) / SQRT3
+            t_lo = math.floor((-m - im_off) / im_step) - 1
+            t_hi = math.ceil((m - im_off) / im_step) + 1
+            ims = SQRT3 * (im_off + im_step * np.arange(t_lo, t_hi + 1))
+            ims = ims[r * r + ims * ims <= B2]
+            if ims.size:
+                pts.append(r + 1j * ims)
+    points = np.concatenate(pts)
+    return points[np.lexsort((points.imag, points.real))]
+
+
+REFERENCE_GEN_DISC = {
+    Ring.GAUSSIAN: (gen_disc_gaussian, reference_gen_disc_gaussian, 0.5),
+    Ring.EISENSTEIN: (gen_disc_eisenstein, reference_gen_disc_eisenstein, 0.75),
+}
+#: A dense grid, both sides of every ceil(phi) edge up to 130, and one large disc.
+PARITY_PHIS = sorted(
+    {float(v) for v in np.linspace(0.01, 130.0, 261)}
+    | {float(np.nextafter(n, side)) for n in range(1, 131) for side in (0.0, np.inf)}
+    | {float(n) for n in range(1, 131)}
+    | {300.0}
+)
+
+
+class TestGeneratorsMatchTheLoopReference:
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_byte_identical(self, ring):
+        gen, reference, margin = REFERENCE_GEN_DISC[ring]
+        for phi in PARITY_PHIS:
+            d = gen(phi)
+            assert d.ring is ring and d.bound == math.ceil(phi) + margin, phi
+            assert np.array_equal(d.points.view(np.uint64), reference(phi).view(np.uint64)), phi
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_peak_allocation_is_linear_in_the_output(self, ring):
+        gen = REFERENCE_GEN_DISC[ring][0]
+        tracemalloc.start()
+        try:
+            d = gen(300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * d.points.nbytes
 
 
 class TestGenDiscDispatch:
@@ -287,6 +375,43 @@ class TestSearchOptimal:
         a = vector_value(res.a_opt)
         assert a[0] == 0
         assert a[1] != 0
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_zero_components_are_skipped_segments(self, monkeypatch, ring):
+        # zeros inserted into h leave gaps in the alpha set's component
+        # segments; the sampled incumbent (the certification's seed) and the
+        # answer are the reduced channel's with zeros at those positions
+        seeds = []
+
+        def seeded_scan(M, ring, seed):
+            seeds.append(seed)
+            return cost_pruned_scan(M, ring, seed=seed)
+
+        monkeypatch.setattr(optimal, "cost_pruned_scan", seeded_scan)
+        full_scan = {"quadrant_reduce": False} if ring is Ring.GAUSSIAN else {"sector_reduce": False}
+        rng = np.random.default_rng(1010)
+        for L in range(2, 7):
+            for snr_db in (0, 10, 20):
+                P = 10.0 ** (snr_db / 10)
+                h = gen_channel(L, 1, rng, P).H[0]
+                n_zeros = int(rng.integers(1, 3))
+                zeros = np.sort(rng.choice(L + n_zeros, size=n_zeros, replace=False))
+                at = zeros - np.arange(n_zeros)  # np.insert positions in h
+                padded = np.insert(h, at, 0.0)
+                assert np.count_nonzero(padded) == L and np.all(padded[zeros] == 0)
+                for kwargs in ({}, full_scan):
+                    ref = search_optimal(ChannelVector(h, P), ring, **kwargs)
+                    got = search_optimal(ChannelVector(padded, P), ring, **kwargs)
+                    # unit multiples tie up to rounding, so compare orbits
+                    (rx, ry, rf), (gx, gy, gf) = seeds[-2:]
+                    rx, ry = canonical(rx, ry, ring)
+                    gx, gy = canonical(gx, gy, ring)
+                    assert np.array_equal(gx, np.insert(rx, at, 0)), (L, snr_db, kwargs)
+                    assert np.array_equal(gy, np.insert(ry, at, 0)), (L, snr_db, kwargs)
+                    assert gf == pytest.approx(rf, rel=1e-12)
+                    expected = np.insert(vector_value(ref.a_opt), at, 0)
+                    assert np.array_equal(vector_value(got.a_opt), expected), (L, snr_db, kwargs)
+                    assert got.f_min == pytest.approx(ref.f_min, rel=1e-12)
 
     def test_never_worse_than_any_unit_vector(self):
         rng = np.random.default_rng(301)
