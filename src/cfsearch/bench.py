@@ -71,6 +71,8 @@ class BenchConfig:
             raise InvalidInputError(f"need 1 <= k <= L, got k={self.k}, L={self.L}")
         if self.trials < 1:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_db_list or not all(np.isfinite(self.snr_db_list)):
             raise InvalidInputError("snr_db_list must be nonempty and finite")
         if not self.algorithms:
@@ -308,6 +310,13 @@ _CONFIG_KEYS = {
 }
 
 
+def _integer(value) -> int:
+    """`value` as an int: an integer or an integral float, never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def load_config(path: str) -> BenchConfig:
     """Parse a flat key=value sweep config; array values are JSON literals.
 
@@ -367,15 +376,15 @@ def load_config(path: str) -> BenchConfig:
     if any(k.startswith("clll_") for k in raw):
         clll = CLLLParams(
             delta=field("clll_delta", float, CLLLParams.delta),
-            max_iter=field("clll_max_iter", int, CLLLParams.max_iter),
+            max_iter=field("clll_max_iter", _integer, CLLLParams.max_iter),
         )
 
     return BenchConfig(
-        L=field("L", int),
-        k=field("k", int, 1),
+        L=field("L", _integer),
+        k=field("k", _integer, 1),
         snr_db_list=field("snr_db_list", lambda v: np.atleast_1d(np.asarray(v, dtype=float)).tolist()),
-        trials=field("trials", int),
-        seed=field("seed", int),
+        trials=field("trials", _integer),
+        seed=field("seed", _integer),
         ring=ring,
         algorithms=tuple(algorithms),
         qes=qes,

@@ -44,10 +44,6 @@ EXIT_IO = 3
 RING_NAMES = tuple(r.value for r in Ring)
 
 
-def _parse_ring(name: str) -> Ring:
-    return Ring(name)
-
-
 def _channel_from_json(data) -> np.ndarray:
     """Build a k x L complex matrix from nested [re, im] pair lists."""
 
@@ -104,7 +100,7 @@ def _run_single(algorithm: str, H: np.ndarray, P: float, ring: Ring, args) -> tu
 def _cmd_search(args) -> int:
     H = _load_channel(args)
     P = args.P if args.P is not None else 10.0 ** (args.snr_db / 10.0)
-    ring = _parse_ring(args.ring)
+    ring = Ring(args.ring)
     res, r = _run_single(args.algorithm, H, P, ring, args)
     out = {
         "algorithm": args.algorithm,
@@ -138,7 +134,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    ring = _parse_ring(args.ring)
+    ring = Ring(args.ring)
     if args.k > 1:
         algorithms = ("mimo-optimal", "exhaustive")
     elif ring is Ring.EISENSTEIN:
@@ -169,6 +165,8 @@ def _cmd_selftest(args) -> int:
     The oracle is `exhaustive_search(prune="norm")`, which shares no code
     with the depth-first certification inside the exact searches.
     """
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     cases = [
         (ring, snr, 1, "optimal")

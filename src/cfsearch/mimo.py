@@ -38,7 +38,6 @@ import numpy as np
 # `cost_pruned_scan` are not called here; perfbench/tracing.py wraps both
 # under this module's name, so they stay imported until it is retargeted
 from .dfs import cost_pruned_scan
-from .errors import InvalidInputError
 from .model import ChannelMatrix, SearchResult, b_opt, cost_batch, mimo_gram, mimo_phi, mimo_rate
 from .optimal import _BestTracker, _search_result, _tuple_blocks, _tuple_prefixes, gen_disc
 from .rings import Ring, quantize_eisenstein_array, quantize_gaussian_array
@@ -49,13 +48,6 @@ DET_SKIP_REL = 1e-10
 BUDGET_SLACK = 1e-9
 #: Hard ceiling on materialized tuple-prefix rows (guards k >= 3).
 MAX_PREFIX_ROWS = 20_000_000
-
-
-def enumerate_subsets(L: int, k: int) -> list[tuple[int, ...]]:
-    """All size-k subsets of column indices {0..L-1} in lexicographic order."""
-    if not 1 <= k <= L:
-        raise InvalidInputError(f"need 1 <= k <= L, got k={k}, L={L}")
-    return list(itertools.combinations(range(L), k))
 
 
 def _subset_is_singular(H_tau: np.ndarray) -> bool:
@@ -97,7 +89,7 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
 
     budget_cap = phi * phi * (1.0 + BUDGET_SLACK)
     skipped = 0
-    for tau in enumerate_subsets(ch.L, ch.k):
+    for tau in itertools.combinations(range(ch.L), ch.k):
         H_tau = ch.H[:, tau]
         if _subset_is_singular(H_tau):
             skipped += 1

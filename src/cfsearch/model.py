@@ -188,13 +188,6 @@ def cost_batch(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A @ M, A.conj()).real
 
 
-def mmse_alpha(ch: ChannelVector, a) -> complex:
-    """Rate-optimal scaling coefficient P (a h^H) / (1 + P ||h||^2)."""
-    av = _as_complex_vector(a)
-    h = ch.h
-    return complex(ch.P * (av @ h.conj()) / (1.0 + ch.P * np.vdot(h, h).real))
-
-
 def rate(ch: ChannelVector, a) -> float:
     """Computation rate of coefficient vector `a` on channel `ch`, in bits."""
     av = _as_complex_vector(a)
@@ -207,14 +200,6 @@ def rate(ch: ChannelVector, a) -> float:
     if f8 <= 0.0:
         raise NumericError(f"effective noise must be positive, got {f8}")
     return log2_plus(1.0 / f8)
-
-
-def rate_from_cost(f: float, phi: float) -> float:
-    """Rate implied by a quadratic-form value under the vector-channel Gram
-    convention, log2+(phi^2 / f)."""
-    if f <= 0.0:
-        raise NumericError(f"cost must be positive, got {f}")
-    return log2_plus(phi * phi / f)
 
 
 def phi_bound(ch: ChannelVector) -> float:

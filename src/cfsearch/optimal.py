@@ -91,17 +91,18 @@ class DiscontinuitySet:
 
 @dataclass(frozen=True)
 class AlphaSet:
-    """Candidate scalings alpha = phi / h_l with their provenance.
+    """Candidate scalings alpha = phi / h_l for the sampled marked points phi.
 
-    `phis[i]` is the marked point and `component[i]` the channel index l such
-    that `alphas[i] * h_l` equals `phis[i]` exactly.  `units_only` signals a
-    degenerate all-zero channel for which only unit vectors remain.
+    `points` holds the sampled marked points once and `components` the
+    indices l of the nonzero channel entries, ascending.  Row s of `alphas`
+    holds `points / h_l` for l = `components[s]`, so `alphas[s] * h_l`
+    gives back `points`.  An all-zero channel has no components and no
+    rows: only unit vectors remain.
     """
 
     alphas: np.ndarray
-    phis: np.ndarray
-    component: np.ndarray
-    units_only: bool
+    points: np.ndarray
+    components: tuple[int, ...]
 
 
 def _check_phi(phi: float) -> float:
@@ -239,9 +240,8 @@ def gen_alpha_set(
     `quadrant_reduce` keeps only marked points with argument in [0, 90)
     (Gaussian ring only; four-fold reduction).  `sector_reduce` keeps
     arguments in [0, 60) (Eisenstein ring only; six-fold reduction).  The
-    set is one contiguous segment per nonzero component, in ascending
-    order, each holding the same marked points in the same order.  An
-    all-zero channel yields an empty set flagged `units_only`.
+    set holds one row of scalings per nonzero component, in ascending
+    order, each over the same marked points in the same order.
     """
     if quadrant_reduce and psi.ring is not Ring.GAUSSIAN:
         raise InvalidInputError("quadrant reduction applies to the Gaussian ring only")
@@ -252,14 +252,11 @@ def gen_alpha_set(
         points = points[_quadrant_filter(points)]
     elif sector_reduce:
         points = points[_sector_filter(points)]
-    nonzero = [l for l in range(ch.L) if ch.h[l] != 0]
-    if not nonzero:
-        empty_c = np.empty(0, np.complex128)
-        return AlphaSet(empty_c, empty_c, np.empty(0, np.int64), units_only=True)
-    alphas = np.concatenate([points / ch.h[l] for l in nonzero])
-    phis = np.tile(points, len(nonzero))
-    component = np.repeat(np.asarray(nonzero, np.int64), points.size)
-    return AlphaSet(alphas, phis, component, units_only=False)
+    components = tuple(l for l in range(ch.L) if ch.h[l] != 0)
+    alphas = np.empty((len(components), points.size), np.complex128)
+    for row, l in zip(alphas, components):
+        np.divide(points, ch.h[l], out=row)
+    return AlphaSet(alphas, points, components)
 
 
 def _eisenstein_coords_from_values(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,43 +444,37 @@ def search_optimal(
     )
     best = _BestTracker(M, ring)
 
-    if not aset.units_only:
-        # one contiguous segment per nonzero component, each holding the
-        # same marked points (`gen_alpha_set`)
-        segments = np.count_nonzero(ch.h)
-        alphas = aset.alphas.reshape(segments, -1)
-        components = aset.component.reshape(segments, -1)[:, 0].tolist()
-        phis = aset.phis[: alphas.shape[1]]
+    phis = aset.points
+    if quadrant_reduce:
+        re_half = np.mod(phis.real, 1.0) == 0.5
+        im_half = np.mod(phis.imag, 1.0) == 0.5
+        neighbors = [
+            (mask, dx, dy)
+            for mask, dx, dy in ((re_half, 1, 0), (im_half, 0, 1), (re_half & im_half, 1, 1))
+            if mask.any()
+        ]
+    for l, alpha in zip(aset.components, aset.alphas):
+        A = alpha[:, None] * ch.h[None, :]
+        A[:, l] = phis  # the active component sits exactly on the boundary
+        if gaussian:
+            x, y = quantize_gaussian_array(A)
+        else:
+            x, y = quantize_eisenstein_array(A)
+        best.consider(x, y)
         if quadrant_reduce:
-            re_half = np.mod(phis.real, 1.0) == 0.5
-            im_half = np.mod(phis.imag, 1.0) == 0.5
-            neighbors = [
-                (mask, dx, dy)
-                for mask, dx, dy in ((re_half, 1, 0), (im_half, 0, 1), (re_half & im_half, 1, 1))
-                if mask.any()
-            ]
-        for l, alpha in zip(components, alphas):
-            A = alpha[:, None] * ch.h[None, :]
-            A[:, l] = phis  # the active component sits exactly on the boundary
-            if gaussian:
-                x, y = quantize_gaussian_array(A)
-            else:
-                x, y = quantize_eisenstein_array(A)
-            best.consider(x, y)
-            if quadrant_reduce:
-                for mask, dx, dy in neighbors:
-                    xv, yv = x[mask], y[mask]
-                    xv[:, l] -= dx
-                    yv[:, l] -= dy
-                    best.consider(xv, yv)
-            if sector_reduce:
-                # mirrored endpoint of the bisected nearest-neighbor pair
-                mirrored = 2.0 * phis - ring.values(x[:, l], y[:, l])
-                ma, mb = _eisenstein_coords_from_values(mirrored)
-                xv, yv = x.copy(), y.copy()
-                xv[:, l] = ma
-                yv[:, l] = mb
+            for mask, dx, dy in neighbors:
+                xv, yv = x[mask], y[mask]
+                xv[:, l] -= dx
+                yv[:, l] -= dy
                 best.consider(xv, yv)
+        if sector_reduce:
+            # mirrored endpoint of the bisected nearest-neighbor pair
+            mirrored = 2.0 * phis - ring.values(x[:, l], y[:, l])
+            ma, mb = _eisenstein_coords_from_values(mirrored)
+            xv, yv = x.copy(), y.copy()
+            xv[:, l] = ma
+            yv[:, l] = mb
+            best.consider(xv, yv)
 
     best.consider_units()
     best.certify(ch.h, ch.P, "optimal")

@@ -78,21 +78,6 @@ class GaussianInt:
     def __complex__(self) -> complex:
         return self.value
 
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def __str__(self) -> str:
         return f"({self.re}{self.im:+d}i)"
 
@@ -116,20 +101,6 @@ class EisensteinInt:
     def __complex__(self) -> complex:
         return self.value
 
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
-
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        # (a + b w)(c + d w) with w^2 = -1 - w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
     def __str__(self) -> str:
         return f"({self.a}{self.b:+d}w)"
 
@@ -137,36 +108,10 @@ class EisensteinInt:
 RingElement = GaussianInt | EisensteinInt
 CoefficientVector = tuple[RingElement, ...]
 
-#: Multiplicative units of each ring, in canonical order.
-GAUSSIAN_UNITS: tuple[GaussianInt, ...] = (
-    GaussianInt(1, 0),
-    GaussianInt(-1, 0),
-    GaussianInt(0, 1),
-    GaussianInt(0, -1),
-)
-EISENSTEIN_UNITS: tuple[EisensteinInt, ...] = (
-    EisensteinInt(1, 0),
-    EisensteinInt(-1, 0),
-    EisensteinInt(0, 1),
-    EisensteinInt(0, -1),
-    EisensteinInt(-1, -1),
-    EisensteinInt(1, 1),
-)
-
-
-def units(ring: Ring) -> tuple[RingElement, ...]:
-    """All multiplicative units of `ring` (4 Gaussian, 6 Eisenstein)."""
-    return GAUSSIAN_UNITS if ring is Ring.GAUSSIAN else EISENSTEIN_UNITS
-
 
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves toward +inf."""
     return int(math.floor(x + 0.5))
-
-
-def _check_finite(z) -> None:
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("quantizer input must be finite")
 
 
 def quantize_gaussian(z: complex) -> GaussianInt:
@@ -175,7 +120,8 @@ def quantize_gaussian(z: complex) -> GaussianInt:
     Real and imaginary parts round independently with halves toward +inf,
     so the result is componentwise nearest and fully deterministic.
     """
-    _check_finite(z)
+    if not np.isfinite(z):
+        raise InvalidInputError("quantizer input must be finite")
     return GaussianInt(round_half_up(z.real), round_half_up(z.imag))
 
 
@@ -225,20 +171,6 @@ def quantize_eisenstein_array(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.where(pick2, a2, a1)
     b = np.where(pick2, b2, b1)
     return a, b
-
-
-def quantize_eisenstein(z: complex) -> EisensteinInt:
-    """Nearest Eisenstein integer to `z` (see `quantize_eisenstein_array`)."""
-    _check_finite(z)
-    a, b = quantize_eisenstein_array(np.asarray([complex(z)]))
-    return EisensteinInt(int(a[0]), int(b[0]))
-
-
-def quantize(z: complex, ring: Ring) -> RingElement:
-    """Nearest element of `ring` to `z`."""
-    if ring is Ring.GAUSSIAN:
-        return quantize_gaussian(z)
-    return quantize_eisenstein(z)
 
 
 def gaussian_values(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -340,21 +272,3 @@ def canonical(x: np.ndarray, y: np.ndarray, ring: Ring) -> tuple[np.ndarray, np.
         raise InvalidInputError("coefficient vector must be nonzero")
     (p, q), (r, t) = _TO_SECTOR_ZERO[ring][_sector(a, b, ring)]
     return p * x + q * y, r * x + t * y
-
-
-def unit_vectors(L: int, ring: Ring) -> list[CoefficientVector]:
-    """All length-`L` vectors with one unit entry and zeros elsewhere.
-
-    Returns 4*L vectors for the Gaussian ring and 6*L for the Eisenstein
-    ring, ordered position-major then unit-major; no duplicates.
-    """
-    if L < 1:
-        raise InvalidInputError(f"vector length must be >= 1, got {L}")
-    zero = GaussianInt(0, 0) if ring is Ring.GAUSSIAN else EisensteinInt(0, 0)
-    out: list[CoefficientVector] = []
-    for pos in range(L):
-        for u in units(ring):
-            vec = [zero] * L
-            vec[pos] = u
-            out.append(tuple(vec))
-    return out

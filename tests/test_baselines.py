@@ -22,7 +22,8 @@ from cfsearch.model import (
     phi_bound,
 )
 from cfsearch.optimal import search_optimal
-from cfsearch.rings import Ring, unit_vectors, vector_value
+from cfsearch.rings import Ring, vector_value
+from ring_reference import unit_vectors
 
 
 def random_vector_channel(rng, L, P=None):

@@ -256,6 +256,9 @@ class TestLoadConfig:
     @pytest.mark.parametrize("line", [
         "trials = many", "snr_db_list = 0, 10", "qes_mag_step = fine", "clll_max_iter = [1]",
         "algorithms = 5",
+        # integer keys take neither fractions nor booleans
+        "L = 2.7", "k = 1.5", "trials = 1.9", "seed = true", "clll_max_iter = 10.5",
+        "trials = false",
     ])
     def test_malformed_value_names_file_and_key(self, tmp_path, line):
         base = {"L": "2", "snr_db_list": "[0]", "trials": "1", "seed": "1"}
@@ -266,6 +269,12 @@ class TestLoadConfig:
         with pytest.raises(InvalidInputError) as info:
             load_config(str(path))
         assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("L = 2.0\nsnr_db_list = [0]\ntrials = 3.0\nseed = 1\n")
+        cfg = load_config(str(path))
+        assert (cfg.L, cfg.trials) == (2, 3) and type(cfg.L) is int and type(cfg.trials) is int
 
     def test_unknown_ring_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"

@@ -220,6 +220,20 @@ class TestSelftestCommand:
         assert "MISMATCH" not in out
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # numpy's generators take no negative seed; each front end says so first
+    path = tmp_path / "sweep.cfg"
+    path.write_text("L = 2\nsnr_db_list = [0]\ntrials = 2\nseed = -3\n")
+    for argv in (
+        ("compare", "--L", "2", "--snr-db", "0", "--trials", "2", "--seed", "-1"),
+        ("selftest", "--trials", "1", "--seed", "-5"),
+        ("sweep", "--config", str(path)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "seed must be >= 0" in err and "internal error" not in err, argv
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(

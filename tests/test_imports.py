@@ -1,20 +1,25 @@
 """Every name a package module imports is used, every private name it
-defines is read, and every work budget can be lowered by a test.
+defines is read, every public function or class has a reader, and every
+work budget can be lowered by a test and is documented.
 
 No linter runs on this repository, so this test is its unused-import and
-unused-private-name check.  An imported name counts as used when the module reads it, lists it
+unused-name check.  An imported name counts as used when the module reads it, lists it
 in `__all__`, or is one that `perfbench/tracing.py` wraps under that module
 (its `TARGETS`): the tracer replaces the module attribute by name, so the
 name must stay even where the module no longer calls it.  `TARGETS` is read
-from the tracer's source, not imported.
+from the tracer's source, not imported.  A public module-level function or
+class is read when the package reads it, the package namespace exports it,
+the tracer wraps it, or `tests/test_acceptance.py` or `perfbench/` imports
+it; a helper only unit tests call is not read.
 
 A work budget is a module-level `MAX_*` constant.  It must be read at call
 time (inside a function body, never as a default value or at import), so
 that `monkeypatch.setattr(module, "MAX_X", n)` takes effect, and some test
-must patch it that way.
+must patch it that way.  README.md names every budget and every module.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -101,6 +106,32 @@ def test_every_private_name_is_read(path):
     assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"
 
 
+def imports_from_package(path: Path) -> set[str]:
+    """The names a file outside the package imports from `cfsearch` modules."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cfsearch":
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_public_function_is_read():
+    init = ast.parse((ROOT / "src" / "cfsearch" / "__init__.py").read_text())
+    readers = package_reads() | set(assigned_literal(init, "__all__"))
+    readers |= set().union(*traced_names().values())
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        readers |= imports_from_package(path)
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in readers
+    ]
+    assert not unread, f"public functions and classes nothing reads: {unread}"
+
+
 def budgets() -> list[tuple[str, str]]:
     """(module, name) of every module-level `MAX_*` assignment in the package."""
     out = []
@@ -151,3 +182,17 @@ def test_every_budget_is_patched_by_a_test():
     assert len(found) >= 5
     missing = sorted(set(found) - patched)
     assert not missing, f"no test patches these budgets (module, name): {missing}"
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_names_every_budget():
+    bullet = re.search(r"Every work budget \(([^)]*)\)", README).group(1)
+    assert set(re.findall(r"`(\w+)\.(MAX_\w+)`", bullet)) == set(budgets())
+
+
+def test_readme_layout_lists_every_module():
+    layout = README.split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^ +(\w+\.py) ", layout, re.M))
+    assert listed == {p.name for p in MODULES} - {"__init__.py"}

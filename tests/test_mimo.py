@@ -1,16 +1,13 @@
 """Matrix-channel coefficient search built on column-subset vertex candidates."""
 
-import math
-from itertools import combinations
-
 import numpy as np
 import pytest
 
 from cfsearch import mimo
 from cfsearch.baselines import exhaustive_search
 from cfsearch.bench import gen_channel
-from cfsearch.errors import InvalidInputError, NumericError
-from cfsearch.mimo import enumerate_subsets, search_optimal_mimo
+from cfsearch.errors import NumericError
+from cfsearch.mimo import search_optimal_mimo
 from cfsearch.model import (
     ChannelMatrix,
     ChannelVector,
@@ -20,7 +17,8 @@ from cfsearch.model import (
     phi_bound,
 )
 from cfsearch.optimal import gen_disc, search_optimal
-from cfsearch.rings import Ring, unit_vectors
+from cfsearch.rings import Ring
+from ring_reference import unit_vectors
 
 
 #: Channels with phi^(2L) above this are not graded against the full ball,
@@ -32,24 +30,6 @@ ORACLE_PHI_POWER_CAP = 4e5
 def random_matrix_channel(rng, k, L, P=None):
     H = (rng.standard_normal((k, L)) + 1j * rng.standard_normal((k, L))) / np.sqrt(2)
     return ChannelMatrix(H, float(P if P is not None else rng.uniform(0.5, 30.0)))
-
-
-class TestEnumerateSubsets:
-    def test_matches_itertools(self):
-        assert enumerate_subsets(4, 2) == list(combinations(range(4), 2))
-        assert enumerate_subsets(3, 3) == [(0, 1, 2)]
-        assert enumerate_subsets(5, 1) == [(i,) for i in range(5)]
-
-    def test_lexicographic_order(self):
-        subs = enumerate_subsets(6, 3)
-        assert subs == sorted(subs)
-        assert len(subs) == math.comb(6, 3)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(InvalidInputError):
-            enumerate_subsets(3, 0)
-        with pytest.raises(InvalidInputError):
-            enumerate_subsets(3, 4)
 
 
 class TestSearchOptimalMimo:

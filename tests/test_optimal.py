@@ -16,8 +16,8 @@ from cfsearch.model import (
     ChannelVector,
     cost,
     cost_matrix,
+    log2_plus,
     phi_bound,
-    rate_from_cost,
 )
 from cfsearch.optimal import (
     AlphaSet,
@@ -30,7 +30,8 @@ from cfsearch.optimal import (
     gen_disc_gaussian,
     search_optimal,
 )
-from cfsearch.rings import SQRT3, EisensteinInt, Ring, canonical, unit_vectors, vector_value
+from cfsearch.rings import SQRT3, EisensteinInt, Ring, canonical, vector_value
+from ring_reference import unit_vectors
 
 
 def gaussian_disc_oracle(phi: float) -> set[tuple[float, float]]:
@@ -244,32 +245,34 @@ class TestAlphaSet:
     def test_structure(self):
         aset = gen_alpha_set(self.psi, self.ch)
         n = self.psi.points.size
+        assert aset.alphas.shape == (2, n)
         assert aset.alphas.size == 2 * n
-        assert aset.phis.size == 2 * n
-        assert not aset.units_only
-        assert set(np.unique(aset.component)) == {0, 1}
+        assert aset.points.tobytes() == self.psi.points.tobytes()
+        assert aset.components == (0, 1)
         # each scaling maps its component back onto the marked point
-        back = aset.alphas * self.ch.h[aset.component]
-        assert np.allclose(back, aset.phis, rtol=1e-12, atol=0)
+        back = aset.alphas * self.ch.h[list(aset.components)][:, None]
+        assert np.allclose(back, aset.points[None, :], rtol=1e-12, atol=0)
 
     def test_zero_component_skipped(self):
         ch = ChannelVector(np.array([0.0, 2.0 - 1.0j]), 4.0)
         psi = gen_disc(phi_bound(ch), Ring.GAUSSIAN)
         aset = gen_alpha_set(psi, ch)
-        assert set(np.unique(aset.component)) == {1}
+        assert aset.components == (1,)
         assert aset.alphas.size == psi.points.size
 
     def test_all_zero_channel_flags_units_only(self):
+        # no nonzero component, so no scalings: only unit vectors remain
         ch = ChannelVector(np.zeros(3, dtype=complex), 1.0)
         aset = gen_alpha_set(gen_disc(phi_bound(ch), Ring.GAUSSIAN), ch)
-        assert aset.units_only
+        assert aset.components == ()
         assert aset.alphas.size == 0
 
     def test_quadrant_reduction_keeps_exact_quarter(self):
         aset = gen_alpha_set(self.psi, self.ch, quadrant_reduce=True)
         full = gen_alpha_set(self.psi, self.ch)
         assert aset.alphas.size * 4 == full.alphas.size
-        assert np.all(aset.phis.real > 0) and np.all(aset.phis.imag >= 0)
+        assert aset.points.size * 4 == full.points.size
+        assert np.all(aset.points.real > 0) and np.all(aset.points.imag >= 0)
 
     def test_sector_reduction_keeps_exact_sixth(self):
         ch = self.ch
@@ -277,9 +280,24 @@ class TestAlphaSet:
         aset = gen_alpha_set(psi, ch, sector_reduce=True)
         full = gen_alpha_set(psi, ch)
         assert aset.alphas.size * 6 == full.alphas.size
-        assert np.all(aset.phis.real > 0)
-        assert np.all(aset.phis.imag >= 0)
-        assert np.all(aset.phis.imag < SQRT3 * aset.phis.real - 1e-12)
+        assert aset.points.size * 6 == full.points.size
+        assert np.all(aset.points.real > 0)
+        assert np.all(aset.points.imag >= 0)
+        assert np.all(aset.points.imag < SQRT3 * aset.points.real - 1e-12)
+
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_peak_allocation_is_the_scalings_and_one_copy_of_the_points(self, ring):
+        # L=8 at 30 dB: 19,717 Gaussian quadrant points, 8 rows of scalings
+        ch = gen_channel(8, 1, np.random.default_rng(5), 1e3).row_vector()
+        psi = gen_disc(phi_bound(ch), ring)
+        for flags in ({}, {"quadrant_reduce" if ring is Ring.GAUSSIAN else "sector_reduce": True}):
+            tracemalloc.start()
+            try:
+                aset = gen_alpha_set(psi, ch, **flags)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= aset.alphas.nbytes + 2 * aset.points.nbytes, flags
 
     def test_reduction_flags_are_ring_checked(self):
         with pytest.raises(InvalidInputError):
@@ -351,9 +369,7 @@ class TestSearchOptimal:
         ch = ChannelVector(np.array([1.0, 1.0j]), 10.0)
         res = search_optimal(ch, Ring.EISENSTEIN)
         assert res.f_min == pytest.approx(22.0 - 10.0 * SQRT3, rel=1e-12)
-        assert res.rate == pytest.approx(
-            rate_from_cost(res.f_min, phi_bound(ch)), abs=1e-12
-        )
+        assert res.rate == pytest.approx(log2_plus(phi_bound(ch) ** 2 / res.f_min), abs=1e-12)
 
     def test_single_transmitter(self):
         ch = ChannelVector(np.array([1.0 + 0j]), 10.0)

@@ -36,12 +36,11 @@ from cfsearch.rings import (
     canonical,
     eisenstein_values,
     gaussian_values,
-    unit_vectors,
-    units,
     vector_coords,
     vector_from_arrays,
     vector_value,
 )
+from ring_reference import times, unit_vectors, units
 
 SECTOR_DEG = {Ring.GAUSSIAN: 90.0, Ring.EISENSTEIN: 60.0}
 
@@ -86,7 +85,7 @@ def test_canonical_properties(ring, pairs):
 
     # invariant under every unit, and itself a unit multiple of the input
     vec = vector_from_arrays(x, y, ring)
-    orbit = [tuple(u * e for e in vec) for u in units(ring)]
+    orbit = [tuple(times(u, e) for e in vec) for u in units(ring)]
     assert vector_from_arrays(cx, cy, ring) in orbit
     for rotated in orbit:
         rx, ry = canonical(*vector_coords(rotated, ring), ring)
@@ -100,7 +99,7 @@ def test_each_orbit_has_one_member_in_sector_zero():
                 if (a, b) == (0, 0):
                     continue
                 orbit = {(int(x[0]), int(y[0])) for x, y in
-                         (vector_coords((u * cls(a, b),), ring) for u in units(ring))}
+                         (vector_coords((times(u, cls(a, b)),), ring) for u in units(ring))}
                 assert len(orbit) == len(units(ring))
                 inside = [p for p in orbit if in_sector_zero(*p, ring)]
                 cx, cy = canonical(np.array([a]), np.array([b]), ring)
@@ -147,17 +146,31 @@ def test_sector_reduction_is_the_eisenstein_default():
     ).a_opt
 
 
+#: Channels with phi^(2L) above this are not graded against the full ball
+#: (the rule of test_mimo.py's `test_matches_full_ball_oracle`).
+ORACLE_PHI_POWER_CAP = 4e5
+
+
 @pytest.mark.parametrize("ring", list(Ring))
 def test_every_exact_search_returns_the_same_canonical_vector(ring):
+    # `prune="norm"` scans the full ball and shares no minimization code
+    # with the depth-first scan that certifies the other searches (and that
+    # criteria 01-02 grade `search_optimal` against), so it grades them
+    # independently of the certifier
+    full = {"quadrant_reduce": False} if ring is Ring.GAUSSIAN else {"sector_reduce": False}
     rng = np.random.default_rng(660010 + (ring is Ring.EISENSTEIN))
-    for L in (2, 3):
-        for snr in (0, 10):
+    graded = 0
+    for L in (2, 3, 4):
+        for snr in (0, 5, 10, 20):
             for _ in range(8):
                 chm = gen_channel(L, 1, rng, 10.0 ** (snr / 10.0))
                 ch = chm.row_vector()
                 M, phi = cost_matrix(ch), phi_bound(ch)
+                if phi ** (2 * L) > ORACLE_PHI_POWER_CAP:
+                    continue
                 results = [
                     search_optimal(ch, ring),
+                    search_optimal(ch, ring, **full),
                     search_optimal_mimo(chm, ring),
                     exhaustive_search(M, phi, ring, prune="cost"),
                     exhaustive_search(M, phi, ring, prune="norm"),
@@ -165,9 +178,11 @@ def test_every_exact_search_returns_the_same_canonical_vector(ring):
                 # the k = 1 matrix search minimizes M / phi^2: same argmin
                 for res in results:
                     assert is_canonical(res.a_opt, ring)
-                    assert res.a_opt == results[0].a_opt
-                for res in results[2:]:
-                    assert res.f_min == pytest.approx(results[0].f_min, rel=1e-12)
+                    assert res.a_opt == results[-1].a_opt, (L, snr)
+                for res in results[:2] + results[3:4]:
+                    assert res.f_min == pytest.approx(results[-1].f_min, rel=1e-12), (L, snr)
+                graded += 1
+    assert graded >= 64  # at least every L = 2 channel and L = 3, 4 up to 5 dB
 
 
 @pytest.mark.parametrize("ring", list(Ring))
