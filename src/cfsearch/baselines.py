@@ -36,10 +36,17 @@ import numpy as np
 from .dfs import cost_pruned_scan
 from .errors import InvalidInputError, NumericError
 from .model import ChannelVector, SearchResult, check_cost_matrix, cost_batch, cost_matrix, phi_bound, rate
-from .optimal import _BestTracker, _search_result, _tuple_blocks, _tuple_prefixes
+from .optimal import (
+    FIRST_BLOCK_RADIUS,
+    _BestTracker,
+    _search_result,
+    _tuple_blocks,
+    _tuple_prefixes,
+)
 from .rings import SQRT3, Ring, quantize_gaussian, quantize_gaussian_array, vector_from_arrays
 
-#: Rows processed per vectorized block in the polar-grid scan.
+#: Most entries (grid scalings times L) quantized in one block of the
+#: polar-grid scan.
 SCAN_CHUNK_ROWS = 1 << 19
 #: Hard ceiling on materialized prefix rows in the norm-pruned scan.
 MAX_TABLE_ROWS = 30_000_000
@@ -251,12 +258,20 @@ class QesParams:
 def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResult:
     """Gaussian-ring baseline quantizing a polar grid of channel scalings.
 
-    Evaluates a = [alpha * h] for every grid scaling alpha (magnitude-major,
-    phase-minor order), then the unit vectors, priced from the diagonal of M
-    (`best_unit`); ties keep the first candidate encountered, returned as
-    its `canonical` unit multiple.  Accuracy is limited by the grid pitch,
-    which is the point: this is the discretized stand-in that the exact
-    discontinuity scan replaces.
+    Prices the unit vectors first, from the diagonal of M (`best_unit`),
+    then a = [alpha * h] for the grid scalings alpha in magnitude-major,
+    phase-minor order, in blocks of whole magnitudes: the first scales h up
+    to norm `FIRST_BLOCK_RADIUS`, and each later block holds twice as many
+    magnitudes as the one before.  Each component of alpha*h is moved at
+    most 1/sqrt(2) by the quantizer, so ||a|| >= |alpha| ||h|| - sqrt(L/2),
+    and a costs at least ||a||^2.  So the grid stops before the first
+    magnitude with |alpha| ||h|| - sqrt(L/2) > sqrt(f_best * (1 + slack)),
+    the slack being `optimal.BUDGET_SLACK`, and `_BestTracker.consider`
+    drops every row with ||a||^2 over f_best * (1 + slack) before pricing
+    it.  Only a strictly cheaper candidate replaces the
+    incumbent, and the winner is returned as its `canonical` unit multiple.
+    Accuracy is limited by the grid pitch, which is the point: this is the
+    discretized stand-in that the exact discontinuity scan replaces.
     """
     params = params or QesParams()
     t0 = time.perf_counter()
@@ -266,16 +281,24 @@ def qes_search(ch: ChannelVector, params: QesParams | None = None) -> SearchResu
     if mag_max is None and nonzero_mags.size:
         mag_max = (math.ceil(phi_bound(ch)) + 0.5) / float(nonzero_mags.min())
 
-    best = _BestTracker(M, Ring.GAUSSIAN)
+    best = _BestTracker(M, Ring.GAUSSIAN, lam_min=1.0)
+    best.consider_units()
     if nonzero_mags.size:
         n_mag = int(math.floor(mag_max / params.mag_step + 1e-9))
-        mags = params.mag_step * np.arange(1, n_mag + 1)
         n_phase = int(math.ceil(90.0 / params.phase_step_deg - 1e-9))
-        phases = np.deg2rad(params.phase_step_deg * np.arange(n_phase))
-        alphas = (mags[:, None] * np.exp(1j * phases)[None, :]).ravel()
-        step = max(1, SCAN_CHUNK_ROWS // ch.L)
-        for lo in range(0, alphas.size, step):
-            A = alphas[lo : lo + step, None] * ch.h[None, :]
-            best.consider(*quantize_gaussian_array(A))
-    best.consider_units()
+        rotations = np.exp(1j * np.deg2rad(params.phase_step_deg * np.arange(n_phase)))
+        h_norm = float(np.linalg.norm(ch.h))
+        max_mags = max(1, SCAN_CHUNK_ROWS // (ch.L * n_phase))
+        # the first block scales h up to norm FIRST_BLOCK_RADIUS
+        lo, size = 0, max(1, int(FIRST_BLOCK_RADIUS / (h_norm * params.mag_step)))
+        while True:
+            # magnitudes 1..top can still win
+            top = int((math.sqrt(best.budget()) + math.sqrt(ch.L / 2)) / (h_norm * params.mag_step))
+            hi = min(lo + size, n_mag, top)
+            if hi <= lo:
+                break
+            mags = params.mag_step * np.arange(lo + 1, hi + 1)
+            alphas = (mags[:, None] * rotations[None, :]).ravel()
+            best.consider(*quantize_gaussian_array(alphas[:, None] * ch.h[None, :]))
+            lo, size = hi, min(2 * size, max_mags)
     return _search_result(*best.coords, M, Ring.GAUSSIAN, best.checked, t0, lambda a: rate(ch, a))

@@ -317,6 +317,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """`value` as a float, never a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def load_config(path: str) -> BenchConfig:
     """Parse a flat key=value sweep config; array values are JSON literals.
 
@@ -368,21 +375,23 @@ def load_config(path: str) -> BenchConfig:
     qes = None
     if any(k.startswith("qes_") for k in raw):
         qes = QesParams(
-            mag_step=field("qes_mag_step", float, QesParams.mag_step),
-            phase_step_deg=field("qes_phase_step_deg", float, QesParams.phase_step_deg),
-            mag_max=field("qes_mag_max", lambda v: v if v is None else float(v)),
+            mag_step=field("qes_mag_step", _real, QesParams.mag_step),
+            phase_step_deg=field("qes_phase_step_deg", _real, QesParams.phase_step_deg),
+            mag_max=field("qes_mag_max", lambda v: v if v is None else _real(v)),
         )
     clll = None
     if any(k.startswith("clll_") for k in raw):
         clll = CLLLParams(
-            delta=field("clll_delta", float, CLLLParams.delta),
+            delta=field("clll_delta", _real, CLLLParams.delta),
             max_iter=field("clll_max_iter", _integer, CLLLParams.max_iter),
         )
 
     return BenchConfig(
         L=field("L", _integer),
         k=field("k", _integer, 1),
-        snr_db_list=field("snr_db_list", lambda v: np.atleast_1d(np.asarray(v, dtype=float)).tolist()),
+        snr_db_list=field(
+            "snr_db_list", lambda v: [_real(x) for x in (v if isinstance(v, list) else [v])]
+        ),
         trials=field("trials", _integer),
         seed=field("seed", _integer),
         ring=ring,

@@ -167,6 +167,8 @@ def _cmd_selftest(args) -> int:
     """
     if args.seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {args.seed}")
+    if args.trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     cases = [
         (ring, snr, 1, "optimal")

@@ -24,7 +24,9 @@ quantized norm, and for each subset `optimal`'s bounded-tuple enumerator
 (`_tuple_prefixes` for the first k-1 entries, `_tuple_blocks` for the last,
 the same two calls as the full-ball scan of `exhaustive_search`) lists the
 tuples within the budget, read again before each block so that the scan
-narrows as the incumbent improves.
+narrows as the incumbent improves.  The same bound on the whole quantized
+vector screens each block: `_BestTracker` drops every row with
+||a||^2 / Phi^2 over the budget before pricing it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from .rings import Ring, quantize_eisenstein_array, quantize_gaussian_array
 
 #: A column subset is skipped when |det| <= this times the Hadamard bound.
 DET_SKIP_REL = 1e-10
-#: Relative slack on the eigenvalue lower bound used to prune tuples.
-BUDGET_SLACK = 1e-9
 #: Hard ceiling on materialized tuple-prefix rows (guards k >= 3).
 MAX_PREFIX_ROWS = 20_000_000
 
@@ -81,13 +81,13 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
     M = mimo_gram(ch)
     phi = mimo_phi(ch)
     points = gen_disc(phi, ring).points
-    best = _BestTracker(M, ring)
+    best = _BestTracker(M, ring, lam_min=1.0 / (phi * phi))
     best.consider_units()
     q = ring.norm(*_quantize_coords(points, ring))  # marked points' quantized squared norms
     order = np.argsort(q, kind="stable")
     points, q = points[order], q[order]
 
-    budget_cap = phi * phi * (1.0 + BUDGET_SLACK)
+    phi2 = phi * phi  # a tuple of squared norm over f_best * phi2 cannot win
     skipped = 0
     for tau in itertools.combinations(range(ch.L), ch.k):
         H_tau = ch.H[:, tau]
@@ -96,14 +96,14 @@ def search_optimal_mimo(ch: ChannelMatrix, ring: Ring) -> SearchResult:
             continue
         T = np.linalg.solve(H_tau, ch.H)
         prefixes = _tuple_prefixes(
-            q, ch.k - 1, best.f * budget_cap, MAX_PREFIX_ROWS,
+            q, ch.k - 1, best.budget() * phi2, MAX_PREFIX_ROWS,
             lambda rows: (
                 f"tuple prefix table of {rows} rows exceeds the "
                 f"{MAX_PREFIX_ROWS}-row budget (L={ch.L}, k={ch.k}, "
                 f"ring={ring.value}, columns={tau})"
             ),
         )
-        for idx, _ in _tuple_blocks(q, *prefixes, lambda: best.f * budget_cap):
+        for idx, _ in _tuple_blocks(q, *prefixes, lambda: best.budget() * phi2):
             C = points[idx]
             A = C @ T
             A[:, tau] = C  # the exact marked points, not their round trip through the solve

@@ -126,9 +126,10 @@ class SearchResult:
     on the returned `a_opt` itself; `rate` is the achievable rate for
     `a_opt` (None for Gram-matrix-only searches, which have no
     channel context to derive a rate from); `candidates_checked` counts the
-    search's work: for the exact searches and `qes_search` the sampled cost
-    evaluations, plus L unit candidates (one diagonal entry per component,
-    not 4L or 6L unit vectors), plus the certification's DFS nodes; for
+    search's work: for the exact searches and `qes_search` the sampled
+    candidates priced (not those a norm bound drops before pricing), plus L
+    unit candidates (one diagonal entry per component, not 4L or 6L unit
+    vectors), plus the certification's DFS nodes; for
     `exhaustive_search` the complete vectors or DFS nodes; for
     `clll_search` the iterations.  `subsets_skipped` counts near-singular
     column subsets dropped by the matrix search.

@@ -40,6 +40,16 @@ sampling incumbent, which provably visits every vector strictly cheaper
 than its seed.  The certifier returns the seed unchanged whenever sampling
 already found the optimum, so the result is exact by construction while the
 certification cost stays near zero when the incumbent is tight.
+
+The scan prices the unit vectors first, so it starts with a finite
+incumbent f_best, and then streams the marked points in ascending modulus.
+Every candidate a costs at least ||a||^2 (the smallest eigenvalue of the
+Gram matrix is 1), and a row sampled at marked point phi has an active
+component within r of phi, r = 1/sqrt(2) (Gaussian) or 1/2 (Eisenstein).
+Once (|phi| - r)^2 exceeds f_best no later point can improve the
+incumbent, so the stream stops there, and each block's rows with
+||a||^2 > f_best are dropped on their exact integer norms before they are
+priced (both tests allow a relative slack of `BUDGET_SLACK` for rounding).
 """
 
 from __future__ import annotations
@@ -73,11 +83,24 @@ from .rings import (
 )
 
 EISENSTEIN_BOUND_SLACK = 1e-12  # relative slack for irrational coordinates
+#: Relative slack on the lower bounds that screen candidates against the
+#: incumbent cost (`_BestTracker.budget`): it absorbs the rounding of costs
+#: and bounds computed in floating point.
+BUDGET_SLACK = 1e-9
 #: Most marked points `gen_disc_*` lay out (read at call time): ten times
 #: the largest set the tests, the benchmark and `cfsearch selftest` reach.
 MAX_MARKED_POINTS = 10_000_000
-#: Tuple rows per block streamed by `_tuple_blocks`.
+#: Tuple rows per block streamed by `_tuple_blocks`, and the most scalings
+#: (marked points times nonzero channel entries) in one block of
+#: `search_optimal`.
 TUPLE_CHUNK_ROWS = 1 << 18
+#: Radius of the disc of marked points that `search_optimal` streams as its
+#: first block; each later block doubles the area covered.
+FIRST_BLOCK_RADIUS = 4.0
+#: Farthest a marked point lies from the ring elements its rows put in the
+#: active component: a vertex of the square cells sits 1/sqrt(2) from its
+#: four lattice points, and a hexagonal edge midpoint 1/2 from its two.
+CELL_REACH = {Ring.GAUSSIAN: math.sqrt(0.5), Ring.EISENSTEIN: 0.5}
 
 
 @dataclass(frozen=True)
@@ -271,23 +294,34 @@ class _BestTracker:
 
     The one incumbent of the sampling scans in `search_optimal`,
     `search_optimal_mimo` and `qes_search`, and of the full-ball scan of
-    `exhaustive_search(prune="norm")`: a block's all-zero rows are
-    dropped, the rest priced with `cost_batch`, and only a strictly cheaper
-    candidate replaces the incumbent, so ties keep the earliest one.
-    `checked` counts the candidates priced, plus the certification nodes.
+    `exhaustive_search(prune="norm")`.  `lam_min` is the smallest
+    eigenvalue of M (1 for `cost_matrix`, 1/Phi^2 for `mimo_gram`; 0 turns
+    the screen off): every row a costs at least lam_min*||a||^2, so a block
+    drops its all-zero rows and every row with lam_min*||a||^2 over
+    `budget()`, on exact integer norms, before it prices the rest with
+    `cost_batch`.  Only a strictly cheaper candidate replaces the
+    incumbent, so ties keep the earliest one.  `checked` counts the
+    candidates priced, plus the certification nodes.
     """
 
-    def __init__(self, M: np.ndarray, ring: Ring):
+    def __init__(self, M: np.ndarray, ring: Ring, lam_min: float = 0.0):
         self.M = M
         self.ring = ring
+        self.lam_min = lam_min
         self.f = np.inf
         self.coords: tuple[np.ndarray, np.ndarray] | None = None
         self.checked = 0
 
+    def budget(self) -> float:
+        """The incumbent cost widened by `BUDGET_SLACK`: a candidate whose cost
+        provably exceeds it cannot win."""
+        return self.f * (1.0 + BUDGET_SLACK)
+
     def consider(self, x: np.ndarray, y: np.ndarray) -> None:
-        keep = np.any((x != 0) | (y != 0), axis=1)
-        # most blocks hold no zero row: skip the copy while the caller still
-        # holds the block, which would otherwise raise the peak allocation
+        n = self.ring.norm(x, y).sum(axis=1)
+        keep = (n > 0) & (self.lam_min * n <= self.budget())
+        # a block kept whole is priced without a copy: the caller still holds
+        # it, so a copy would raise the peak allocation
         if not keep.all():
             if not keep.any():
                 return
@@ -414,18 +448,27 @@ def search_optimal(
 ) -> SearchResult:
     """Minimize a M a^H over nonzero ring vectors by discontinuity enumeration.
 
-    Phase one scans every candidate scaling from `gen_alpha_set`, quantizing
-    alpha*h with the active component pinned to its exact marked point (the
+    Phase one prices the unit vectors from the diagonal of M (`best_unit`:
+    u*e_l costs M_ll for every unit u), which sets the first incumbent.
+    Phase two streams the candidate scalings of `gen_alpha_set` in
+    ascending |phi| of their marked points, quantizing alpha*h with the
+    active component pinned to its exact marked point (the
     symmetry-reduced scans additionally evaluate every adjacent quantizer
-    cell of the active component).  Phase two prices the unit vectors from
-    the diagonal of M (`best_unit`: u*e_l costs M_ll for every unit u),
-    updating only on strict improvement.  Phase three certifies the
-    incumbent with a seeded cost-pruned depth-first scan, which replaces it
-    only when a strictly cheaper vector exists (see the module docstring for
-    why sampling alone can rarely miss one).  Ties resolve to the first
-    candidate encountered in this fixed order, and the winner is returned
-    as its `canonical` unit multiple, so identical inputs always return the
-    identical vector.
+    cell of the active component).  The first block holds the marked points
+    within `FIRST_BLOCK_RADIUS`, each later block the next annulus of twice
+    the area covered so far, with the rows of all nonzero components and
+    their adjacent cells: one quantizer call and one `_BestTracker.consider`
+    call.  A row from marked point phi has an active component within r of
+    phi (`CELL_REACH`: 1/sqrt(2) Gaussian, 1/2 Eisenstein), so it costs at
+    least ||a||^2 >= (|phi| - r)^2; before each block the points are cut to
+    (|phi| - r)^2 <= f_best * (1 + `BUDGET_SLACK`), and `consider` drops
+    every row with ||a||^2 over that budget before pricing it.  Phase three
+    certifies the incumbent with a seeded cost-pruned depth-first scan,
+    which replaces it only when a strictly cheaper vector exists (see the
+    module docstring for why sampling alone can rarely miss one).  Only a
+    strictly cheaper candidate replaces the incumbent, and the winner is
+    returned as its `canonical` unit multiple, so identical inputs always
+    return the identical vector.
 
     `quadrant_reduce=None` and `sector_reduce=None` apply the ring default:
     one unit sector of marked points, a quarter for Gaussian and a sixth for
@@ -442,40 +485,59 @@ def search_optimal(
     aset = gen_alpha_set(
         psi, ch, quadrant_reduce=quadrant_reduce, sector_reduce=sector_reduce
     )
-    best = _BestTracker(M, ring)
+    best = _BestTracker(M, ring, lam_min=1.0)
+    best.consider_units()
 
-    phis = aset.points
-    if quadrant_reduce:
-        re_half = np.mod(phis.real, 1.0) == 0.5
-        im_half = np.mod(phis.imag, 1.0) == 0.5
-        neighbors = [
-            (mask, dx, dy)
-            for mask, dx, dy in ((re_half, 1, 0), (im_half, 0, 1), (re_half & im_half, 1, 1))
-            if mask.any()
-        ]
-    for l, alpha in zip(aset.components, aset.alphas):
-        A = alpha[:, None] * ch.h[None, :]
-        A[:, l] = phis  # the active component sits exactly on the boundary
+    L = ch.L
+    comps = np.array(aset.components, np.int64)
+    rows = np.arange(comps.size)  # [rows, :, comps]: each alpha row's active entry
+    radii = np.abs(aset.points)
+    order = np.argsort(radii, kind="stable")
+    radii = radii[order]
+    reach = CELL_REACH[ring]
+    max_points = max(1, TUPLE_CHUNK_ROWS // max(1, comps.size))
+    lo, edge = 0, FIRST_BLOCK_RADIUS
+    while comps.size and lo < radii.size:
+        cut = reach + math.sqrt(best.budget())
+        if radii[lo] > cut:
+            break
+        hi = min(lo + max_points, int(np.searchsorted(radii, min(edge, cut), side="right")))
+        edge *= math.sqrt(2.0)
+        if hi == lo:  # no point in this annulus
+            continue
+        idx = order[lo:hi]
+        phis = aset.points[idx]
+        A = aset.alphas[:, idx, None] * ch.h
+        A[rows, :, comps] = phis  # the active component sits exactly on the boundary
         if gaussian:
-            x, y = quantize_gaussian_array(A)
+            x, y = quantize_gaussian_array(A.reshape(-1, L))
         else:
-            x, y = quantize_eisenstein_array(A)
-        best.consider(x, y)
+            x, y = quantize_eisenstein_array(A.reshape(-1, L))
+        x, y = x.reshape(A.shape), y.reshape(A.shape)
+        xs, ys = [x], [y]
         if quadrant_reduce:
-            for mask, dx, dy in neighbors:
-                xv, yv = x[mask], y[mask]
-                xv[:, l] -= dx
-                yv[:, l] -= dy
-                best.consider(xv, yv)
+            re_half = np.mod(phis.real, 1.0) == 0.5
+            im_half = np.mod(phis.imag, 1.0) == 0.5
+            for mask, dx, dy in ((re_half, 1, 0), (im_half, 0, 1), (re_half & im_half, 1, 1)):
+                xv, yv = x[:, mask], y[:, mask]
+                xv[rows, :, comps] -= dx
+                yv[rows, :, comps] -= dy
+                xs.append(xv)
+                ys.append(yv)
         if sector_reduce:
             # mirrored endpoint of the bisected nearest-neighbor pair
-            mirrored = 2.0 * phis - ring.values(x[:, l], y[:, l])
+            mirrored = 2.0 * phis - ring.values(x[rows, :, comps], y[rows, :, comps])
             ma, mb = _eisenstein_coords_from_values(mirrored)
             xv, yv = x.copy(), y.copy()
-            xv[:, l] = ma
-            yv[:, l] = mb
-            best.consider(xv, yv)
+            xv[rows, :, comps] = ma
+            yv[rows, :, comps] = mb
+            xs.append(xv)
+            ys.append(yv)
+        best.consider(
+            np.concatenate([v.reshape(-1, L) for v in xs]),
+            np.concatenate([v.reshape(-1, L) for v in ys]),
+        )
+        lo = hi
 
-    best.consider_units()
     best.certify(ch.h, ch.P, "optimal")
     return _search_result(*best.coords, M, ring, best.checked, t0, lambda a: rate(ch, a))

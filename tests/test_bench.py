@@ -259,6 +259,9 @@ class TestLoadConfig:
         # integer keys take neither fractions nor booleans
         "L = 2.7", "k = 1.5", "trials = 1.9", "seed = true", "clll_max_iter = 10.5",
         "trials = false",
+        # float keys take no booleans, alone or in a list
+        "snr_db_list = true", "snr_db_list = [0, true]", "qes_mag_step = true",
+        "qes_phase_step_deg = false", "qes_mag_max = true", "clll_delta = true",
     ])
     def test_malformed_value_names_file_and_key(self, tmp_path, line):
         base = {"L": "2", "snr_db_list": "[0]", "trials": "1", "seed": "1"}

@@ -234,6 +234,13 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
         assert "seed must be >= 0" in err and "internal error" not in err, argv
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_selftest_without_trials_is_usage_error(capsys, trials):
+    code, out, err = run_cli(capsys, "selftest", "--trials", trials)
+    assert code == EXIT_USAGE
+    assert f"trials must be >= 1, got {trials}" in err and "matched the oracle" not in out
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(
