@@ -47,16 +47,18 @@ RING_NAMES = tuple(r.value for r in Ring)
 def _channel_from_json(data) -> np.ndarray:
     """Build a k x L complex matrix from nested [re, im] pair lists."""
 
+    def number(v) -> bool:  # JSON true/false load as bool, a subclass of int
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
     def pair(p) -> complex:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2
-                and all(isinstance(v, (int, float)) for v in p)):
+        if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(number(v) for v in p)):
             raise InvalidInputError(f"expected an [re, im] pair, got {p!r}")
         return complex(p[0], p[1])
 
     if not isinstance(data, list) or not data:
         raise InvalidInputError("channel JSON must be a nonempty array")
     first = data[0]
-    if isinstance(first, list) and first and isinstance(first[0], (int, float)):
+    if isinstance(first, list) and first and number(first[0]):
         return np.asarray([[pair(p) for p in data]], dtype=np.complex128)
     if not all(isinstance(row, list) for row in data):
         raise InvalidInputError("channel JSON must be [re, im] pairs or rows of them")

@@ -98,6 +98,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "search", "--h", "[[1,2],[3]]", "--P", "1")
         assert code == EXIT_USAGE
 
+    def test_boolean_channel_entries_are_usage_errors(self, capsys):
+        # JSON true/false are not numbers, in the vector and the matrix form
+        for h in ("[[true,false],[1,0]]", "[[1,0],[0,true]]", "[[[1,0],[false,0]]]"):
+            code, out, err = run_cli(capsys, "search", "--h", h, "--snr-db", "10")
+            assert code == EXIT_USAGE, h
+            assert "expected an [re, im] pair" in err and not out, h
+
     def test_vector_algorithm_on_matrix_channel_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "search", "--h", "[[[1,0],[0,0]],[[0,0],[1,0]]]", "--P", "1",
