@@ -15,8 +15,8 @@ from cfsearch.baselines import exhaustive_search
 from cfsearch.bench import gen_channel
 from cfsearch.dfs import cost_pruned_scan
 from cfsearch.errors import NumericError
-from cfsearch.model import cost_batch, cost_matrix, mimo_gram, mimo_phi, phi_bound
-from cfsearch.rings import Ring, eisenstein_values, gaussian_values
+from cfsearch.model import ChannelVector, cost_batch, cost_matrix, mimo_gram, mimo_phi, phi_bound
+from cfsearch.rings import Ring, canonical, eisenstein_values, gaussian_values
 
 
 def gram_and_phi(L, k, snr_db, seed):
@@ -147,3 +147,66 @@ def test_known_minimum_of_skewed_lattice(seed):
     assert f == pytest.approx(1.0, rel=1e-9)
     image = ring_values(x, y, ring) @ U
     assert abs(abs(image[0]) - 1.0) < 1e-9 and np.allclose(image[1:], 0.0, atol=1e-9)
+
+
+def permuted_cases():
+    """Seeded cost_matrix (k = 1) and mimo_gram (k = 2) matrices, L 2-8."""
+    cases = []
+    for L in (2, 3, 5, 8):
+        for k, snr_db in ((1, 20.0), (2, 10.0)):
+            M, _ = gram_and_phi(L, k, snr_db, 100 + L)
+            perm = np.random.default_rng(200 + L + k).permutation(L)
+            cases.append(pytest.param(M, perm, id=f"L{L}-k{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+@pytest.mark.parametrize("M,perm", permuted_cases())
+def test_scan_is_invariant_under_component_permutation(ring, seeded, M, perm):
+    # the scan fixes components in ascending diag(M) order whatever order
+    # they come in, so with distinct diagonals a relabelled matrix is
+    # scanned identically and its answer is the relabelled answer
+    assert len(set(M.diagonal().real.tolist())) == M.shape[0]
+    Mp = M[np.ix_(perm, perm)]
+    seed = seed_p = None
+    if seeded:  # 2 e_0 is a poor incumbent: certification must replace it
+        sx = np.zeros(M.shape[0], np.int64)
+        sx[0] = 2
+        sy = np.zeros_like(sx)
+        seed = (sx, sy, recost(sx, sy, M, ring))
+        seed_p = (sx[perm], sy[perm], seed[2])
+    x, y, f, nodes = cost_pruned_scan(M, ring, seed=seed)
+    xp, yp, fp, nodes_p = cost_pruned_scan(Mp, ring, seed=seed_p)
+    assert fp.hex() == f.hex()
+    assert nodes_p == nodes
+    assert np.array_equal(xp, x[perm]) and np.array_equal(yp, y[perm])
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+@pytest.mark.parametrize(
+    "M",
+    [np.eye(1), np.eye(3), np.eye(8), cost_matrix(ChannelVector(np.full(3, 0.6 - 0.2j), 1.0))],
+    ids=["eye1", "eye3", "eye8", "equal-columns"],
+)
+def test_tied_diagonal_returns_the_first_unit(ring, M):
+    # equal M_ll keep their order, and a unit is the minimum here
+    x, y, f, _ = cost_pruned_scan(M, ring)
+    cx, cy = canonical(x, y, ring)
+    e0 = np.zeros(M.shape[0], np.int64)
+    e0[0] = 1
+    assert np.array_equal(cx, e0) and not np.any(cy)
+    assert f == pytest.approx(M[0, 0].real, rel=1e-12)
+    if ring is Ring.GAUSSIAN:
+        assert np.array_equal(x, e0) and not np.any(y)
+
+
+def test_sorted_levels_halve_the_oracle_nodes():
+    # the unsorted scan (components in input order) expanded 8,384 nodes on
+    # this corpus; a dropped or reversed level order fails the bound
+    total = 0
+    for ring in Ring:
+        for s in range(8):
+            vec = gen_channel(8, 1, np.random.default_rng(s), 100.0).row_vector()
+            total += exhaustive_search(cost_matrix(vec), phi_bound(vec), ring, "cost").candidates_checked
+    assert total < 8_384 // 2
